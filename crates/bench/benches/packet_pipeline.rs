@@ -1,41 +1,34 @@
 //! Figure 13 complement: wall-clock per-packet processing through the
-//! complete uplink pipeline, per packet size, transport and
-//! arrangement mechanism.
+//! complete uplink pipeline, per packet size.
 
-use vran_arrange::{ApcmVariant, Mechanism};
 use vran_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use vran_net::packet::{PacketBuilder, Transport};
 use vran_net::pipeline::{PipelineConfig, UplinkPipeline};
-use vran_simd::RegWidth;
 
 fn bench_pipeline(c: &mut Criterion) {
     let mut g = c.benchmark_group("packet_pipeline");
     g.sample_size(10);
-    for mech in [Mechanism::Baseline, Mechanism::Apcm(ApcmVariant::Shuffle)] {
-        let cfg = PipelineConfig {
-            width: RegWidth::Sse128,
-            mechanism: mech,
-            snr_db: 30.0,
-            decoder_iterations: 3,
-            ..Default::default()
-        };
-        let pipe = UplinkPipeline::new(cfg);
-        for size in [256usize, 1500] {
-            let mut b = PacketBuilder::new(1, 2);
-            let p = b.build(Transport::Udp, size).unwrap();
-            g.throughput(Throughput::Bytes(size as u64));
-            g.bench_with_input(
-                BenchmarkId::new(mech.name(), format!("{size}B")),
-                &p,
-                |bch, p| {
-                    bch.iter(|| {
-                        let r = pipe.process(std::hint::black_box(p));
-                        assert!(r.is_ok());
-                        r
-                    })
-                },
-            );
-        }
+    let cfg = PipelineConfig {
+        snr_db: 30.0,
+        decoder_iterations: 3,
+        ..Default::default()
+    };
+    let pipe = UplinkPipeline::new(cfg);
+    for size in [256usize, 1500] {
+        let mut b = PacketBuilder::new(1, 2);
+        let p = b.build(Transport::Udp, size).unwrap();
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_with_input(
+            BenchmarkId::new("uplink", format!("{size}B")),
+            &p,
+            |bch, p| {
+                bch.iter(|| {
+                    let r = pipe.process(std::hint::black_box(p));
+                    assert!(r.is_ok());
+                    r
+                })
+            },
+        );
     }
     g.finish();
 }

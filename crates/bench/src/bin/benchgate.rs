@@ -3,9 +3,9 @@
 //! Runs the pinned, deterministic suites — the arrangement kernels,
 //! original vs APCM, at all three register widths through the
 //! `vran-uarch` simulator, static uplink and downlink pipeline
-//! invariants (the latter once per encoder backend, so scalar/packed
-//! bit-equality is itself gated), the fault-injection
-//! classification counts, the out-of-order stage-graph runtime's
+//! invariants, the fault-injection classification counts, the
+//! best-tier vs scalar-ISA-ceiling bit-equality of the fused ingest
+//! and the front end, the out-of-order stage-graph runtime's
 //! deterministic outcome and batch-formation counters (quad / pair /
 //! single launches, flush reasons, zmm lane occupancy), plus the
 //! deterministic cell-scale smoke preset with its p50/p95/p99
@@ -53,21 +53,26 @@ use vran_net::metrics::StageGraphMetrics;
 use vran_net::metrics::{PipelineMetrics, RunnerMetrics, Stage, UarchMetrics};
 use vran_net::observe::FlightRecorder;
 use vran_net::packet::PacketBuilder;
-use vran_net::pipeline::{DecoderBackend, EncoderBackend, PipelineConfig, UplinkPipeline};
+use vran_net::pipeline::{PipelineConfig, UplinkPipeline};
 use vran_net::runner::{
     downlink_scaleout_sweep, run_throughput_metered, run_uplink_serial_mixed,
     run_uplink_stagegraph_metered, uplink_scaleout_sweep, RING_CAPACITY,
 };
 use vran_net::{StageGraphConfig, Transport};
 use vran_phy::bits::{extend_bits_from_words, random_bits};
-use vran_phy::crc::{best_crc, CrcImpl};
-use vran_phy::demap::{best_demap, DemapImpl};
+use vran_phy::channel::AwgnChannel;
+use vran_phy::crc::{best_crc, CrcImpl, CRC24A};
+use vran_phy::demap::{best_demap, demap_into, DemapImpl};
+use vran_phy::modulation::Modulation;
 use vran_phy::rate_match::{PackedRateMatcher, RateMatcher};
-use vran_phy::scrambler::{best_descramble, DescrambleImpl};
+use vran_phy::scrambler::{
+    best_descramble, descramble_llrs, descramble_llrs_with, DescrambleImpl, GoldSequence,
+};
 use vran_phy::turbo::{
     DecodeScratch, DecoderIsa, EncodeScratch, EncoderIsa, NativeBatchTurboDecoder,
     NativeTurboDecoder, PackedTurboEncoder, TurboDecoder, TurboEncoder,
 };
+use vran_simd::host::{set_isa_ceiling, HostIsa};
 use vran_simd::RegWidth;
 use vran_uarch::{CoreConfig, CoreSim};
 
@@ -84,11 +89,13 @@ const DECODE_REPS: usize = 25;
 /// Decoder iterations for the fast-path suite — fixed, no CRC early
 /// stop, so every configuration does identical work.
 const DECODE_ITERS: usize = 4;
-/// Packets per backend pushed through the fault-classification suite.
+/// Packets per seed pushed through the fault-classification suite.
 const FAULT_PACKETS: usize = 240;
-/// Fault-injector seeds (match the fault-soak test family).
-const FAULT_SEED_SCALAR: u64 = 17;
-const FAULT_SEED_NATIVE: u64 = 18;
+/// Fault-injector seeds (match the fault-soak test family) and the
+/// metric prefix each records under. `native.` is seed 18's prefix
+/// from when a second decoder backend ran seed 17; it stays so the
+/// gated rows keep their names.
+const FAULT_SEEDS: [(&str, u64); 2] = [("seed17", 17), ("native", 18)];
 /// Timed repetitions per encoder configuration (median taken).
 const ENCODE_REPS: usize = 25;
 /// Packets per worker-count point of the downlink scale-out sweep.
@@ -408,14 +415,13 @@ fn downlink_scaleout_suite() -> Suite {
 }
 
 /// Ungated: uplink multi-worker scale-out — aggregate and per-core
-/// Mbps at every worker count up to [`SCALEOUT_MAX_WORKERS`], with the
-/// batched native decode path (quad-in-zmm where the host has it)
-/// enabled so the sweep exercises the widest receive chain.
+/// Mbps at every worker count up to [`SCALEOUT_MAX_WORKERS`] through
+/// the stage-graph runtime (quad-in-zmm launches where the host has
+/// them).
 fn uplink_scaleout_suite() -> Suite {
     let mut suite = Suite::new("uplink_scaleout", false);
     let cfg = PipelineConfig {
         snr_db: 30.0,
-        batch_decode: true,
         ..Default::default()
     };
     for pt in uplink_scaleout_sweep(
@@ -508,12 +514,12 @@ fn uplink_stagegraph_suite() -> Suite {
     suite
 }
 
-/// Ungated: wall-clock throughput of the stage-graph runtime vs the
-/// per-packet serial path on the same mixed-K traffic — once against
-/// the fixed-iteration batch semantics the stage graph shares (the
-/// apples-to-apples speedup) and once against the CRC-early-stop
-/// serial default (quantifying the early-stop trade-off the batch
-/// lanes give up).
+/// Ungated: wall-clock throughput of the stage-graph runtime on mixed-K
+/// traffic — against the same graph with one ROB slot, where each
+/// packet's blocks launch alone under the same fixed-iteration batch
+/// semantics (what cross-packet formation adds), and against the
+/// per-packet serial path with CRC early stop (quantifying the
+/// early-stop trade-off the batch lanes give up).
 fn uplink_stagegraph_wallclock_suite() -> Suite {
     let mut suite = Suite::new("uplink_stagegraph_wallclock", false);
     let classes = paper_sweep_classes();
@@ -522,33 +528,34 @@ fn uplink_stagegraph_wallclock_suite() -> Suite {
         snr_db: 30.0,
         ..Default::default()
     };
-    let batch_cfg = PipelineConfig {
-        batch_decode: true,
-        ..cfg
-    };
     let earlystop = run_uplink_serial_mixed(cfg, &classes, STAGEGRAPH_WALLCLOCK_PACKETS, workers);
-    let serial_batch =
-        run_uplink_serial_mixed(batch_cfg, &classes, STAGEGRAPH_WALLCLOCK_PACKETS, workers);
+    let run_graph = |sg_cfg: StageGraphConfig, sg: Option<std::sync::Arc<StageGraphMetrics>>| {
+        run_uplink_stagegraph_metered(
+            cfg,
+            &classes,
+            STAGEGRAPH_WALLCLOCK_PACKETS,
+            workers,
+            sg_cfg,
+            &RunnerMetrics::new(false, RING_CAPACITY),
+            sg,
+            None,
+            None,
+            None,
+        )
+    };
+    let rob1 = run_graph(
+        StageGraphConfig {
+            rob_slots: 1,
+            ..Default::default()
+        },
+        None,
+    );
     let sg = std::sync::Arc::new(StageGraphMetrics::default());
-    let graph = run_uplink_stagegraph_metered(
-        cfg,
-        &classes,
-        STAGEGRAPH_WALLCLOCK_PACKETS,
-        workers,
-        StageGraphConfig::default(),
-        &RunnerMetrics::new(false, RING_CAPACITY),
-        Some(sg.clone()),
-        None,
-        None,
-        None,
-    );
+    let graph = run_graph(StageGraphConfig::default(), Some(sg.clone()));
     suite.push("serial_earlystop.mbps", earlystop.mbps);
-    suite.push("serial_batch.mbps", serial_batch.mbps);
+    suite.push("rob1.mbps", rob1.mbps);
     suite.push("stagegraph.mbps", graph.mbps);
-    suite.push(
-        "stagegraph.vs_serial_batch.speedup",
-        graph.mbps / serial_batch.mbps,
-    );
+    suite.push("stagegraph.vs_rob1.speedup", graph.mbps / rob1.mbps);
     suite.push(
         "stagegraph.vs_serial_earlystop.speedup",
         graph.mbps / earlystop.mbps,
@@ -561,25 +568,38 @@ fn uplink_stagegraph_wallclock_suite() -> Suite {
     suite
 }
 
-/// One side of the fused-ingest A/B: per-packet outcome signatures
-/// (bit-exactness evidence), wall-clock, and the staging counters.
-struct FusedIngestRun {
+/// One side of the ISA-ceiling A/B: the uplink at the host's best tier
+/// or under a scalar ceiling — per-packet outcome signatures
+/// (bit-exactness evidence), wall-clock, and the ingest, staging and
+/// front-end counters.
+struct IsaRun {
     sigs: Vec<(usize, usize, usize, usize)>,
     ok_packets: u64,
     code_blocks: u64,
     fused_blocks: u64,
-    fused_fallbacks: u64,
     steady_allocs: u64,
     arrange_mean_ns: f64,
+    frontend_packets: u64,
+    frontend_fallbacks: u64,
+    demap_mean_ns: f64,
+    crc_mean_ns: f64,
+    kernel_demap_ns: f64,
+    kernel_descramble_ns: f64,
+    kernel_crc_ns: f64,
     mbps: f64,
 }
 
-fn fused_ingest_run(fused: bool) -> FusedIngestRun {
+/// Run the uplink over [`FUSED_SIZES`] (one warm-up cycle, then
+/// [`FUSED_REPS`] timed cycles), under a scalar ISA ceiling when
+/// `scalar` is set. The ceiling is cleared before returning so the
+/// next suite sees the host's best tier.
+fn isa_run(scalar: bool) -> IsaRun {
+    if scalar {
+        set_isa_ceiling(Some(HostIsa::Scalar));
+    }
     let pm = std::sync::Arc::new(PipelineMetrics::new(true));
     let cfg = PipelineConfig {
         snr_db: 30.0,
-        batch_decode: true,
-        fused_ingest: fused,
         ..Default::default()
     };
     let pipe = UplinkPipeline::with_metrics(cfg, pm.clone());
@@ -602,117 +622,14 @@ fn fused_ingest_run(fused: bool) -> FusedIngestRun {
         }
     }
     let elapsed_s = t.elapsed().as_secs_f64();
-    let arrange_mean_ns = if fused {
-        pm.arrange_fused().mean()
-    } else {
-        pm.stage(Stage::Arrange).mean()
-    };
-    FusedIngestRun {
+    set_isa_ceiling(None);
+    IsaRun {
         sigs,
         ok_packets: pm.ok_packets.get(),
         code_blocks: pm.code_blocks.get(),
         fused_blocks: pm.fused_ingest_blocks.get(),
-        fused_fallbacks: pm.fused_ingest_fallbacks.get(),
         steady_allocs: pm.staging_allocs.get() + pm.staging_reallocs.get() - allocs0,
-        arrange_mean_ns,
-        mbps: payload_bits as f64 / elapsed_s / 1e6,
-    }
-}
-
-/// Gated `uplink_fused_ingest` plus its ungated wall-clock companion,
-/// sharing one A/B measurement. The gated side carries only exact
-/// metrics: outcome counts (fused and unfused must both stay pinned),
-/// the fused/unfused bit-equality boolean, the AVX-512BW tier pin, the
-/// zero-steady-state-allocation count, and two wall-clock-derived
-/// booleans with wide margins — arrangement-stage ≥1.3× faster fused
-/// than unfused, and end-to-end throughput within 5 % of the unfused
-/// path. The raw nanoseconds and Mbps live in the ungated companion so
-/// host noise never gates CI.
-fn uplink_fused_ingest_suites() -> (Suite, Suite) {
-    let mut gated = Suite::new("uplink_fused_ingest", true);
-    let mut wall = Suite::new("uplink_fused_ingest_wallclock", false);
-    let fused = fused_ingest_run(true);
-    let unfused = fused_ingest_run(false);
-
-    gated.push(
-        "avx512bw.accelerated",
-        f64::from(best_fused() == FusedImpl::MaskMergeAvx512),
-    );
-    gated.push("fused.ok.count", fused.ok_packets as f64);
-    gated.push("unfused.ok.count", unfused.ok_packets as f64);
-    gated.push("fused.code_blocks", fused.code_blocks as f64);
-    gated.push("fused.ingest_blocks.count", fused.fused_blocks as f64);
-    gated.push("fused.fallbacks.count", fused.fused_fallbacks as f64);
-    gated.push("bitexact.count", f64::from(fused.sigs == unfused.sigs));
-    gated.push(
-        "staging.steady_state_allocs.count",
-        (fused.steady_allocs + unfused.steady_allocs) as f64,
-    );
-    let arrange_speedup = unfused.arrange_mean_ns / fused.arrange_mean_ns;
-    gated.push(
-        "arrange.speedup_ge_1p3.count",
-        f64::from(arrange_speedup >= 1.3),
-    );
-    gated.push(
-        "e2e.fused_within_5pct.count",
-        f64::from(fused.mbps >= 0.95 * unfused.mbps),
-    );
-
-    wall.push("arrange.unfused.mean_ns", unfused.arrange_mean_ns);
-    wall.push("arrange.fused.mean_ns", fused.arrange_mean_ns);
-    wall.push("arrange.speedup", arrange_speedup);
-    wall.push("e2e.unfused.mbps", unfused.mbps);
-    wall.push("e2e.fused.mbps", fused.mbps);
-    wall.push("e2e.speedup", fused.mbps / unfused.mbps);
-    (gated, wall)
-}
-
-/// One side of the front-end A/B: per-packet outcome signatures
-/// (decoded payloads must match between arms — iteration counts may
-/// differ because the fixed-point demapper quantizes LLRs), per-stage
-/// wall-clock, and the front-end counters.
-struct FrontendRun {
-    sigs: Vec<(usize, usize, usize)>,
-    ok_packets: u64,
-    frontend_packets: u64,
-    frontend_fallbacks: u64,
-    demap_mean_ns: f64,
-    crc_mean_ns: f64,
-    kernel_demap_ns: f64,
-    kernel_descramble_ns: f64,
-    kernel_crc_ns: f64,
-    mbps: f64,
-}
-
-fn frontend_run(simd: bool) -> FrontendRun {
-    let pm = std::sync::Arc::new(PipelineMetrics::new(true));
-    let cfg = PipelineConfig {
-        snr_db: 30.0,
-        frontend_simd: simd,
-        ..Default::default()
-    };
-    let pipe = UplinkPipeline::with_metrics(cfg, pm.clone());
-    let mut b = PacketBuilder::new(1000, 2000);
-    // Warm-up cycle: decoder caches build, stream pools fill.
-    for &size in &FUSED_SIZES {
-        let p = b.build(Transport::Udp, size).expect("valid size");
-        pipe.process(&p).expect("30 dB decodes");
-    }
-    let mut sigs = Vec::new();
-    let mut payload_bits = 0usize;
-    let t = Instant::now();
-    for _ in 0..FUSED_REPS {
-        for &size in &FUSED_SIZES {
-            let p = b.build(Transport::Udp, size).expect("valid size");
-            let r = pipe.process(&p).expect("30 dB decodes");
-            payload_bits += r.tb_bits;
-            sigs.push((r.tb_bits, r.code_blocks, r.coded_bits));
-        }
-    }
-    let elapsed_s = t.elapsed().as_secs_f64();
-    FrontendRun {
-        sigs,
-        ok_packets: pm.ok_packets.get(),
+        arrange_mean_ns: pm.arrange_fused().mean(),
         frontend_packets: pm.frontend_packets.get(),
         frontend_fallbacks: pm.frontend_fallbacks.get(),
         demap_mean_ns: pm.stage(Stage::Demap).mean(),
@@ -724,21 +641,88 @@ fn frontend_run(simd: bool) -> FrontendRun {
     }
 }
 
-/// Gated `uplink_frontend` plus its ungated wall-clock companion,
-/// sharing one A/B measurement. The gated side carries only exact
-/// metrics: outcome counts and the cross-arm outcome-signature
-/// equality (same payloads decoded, independent of LLR quantization),
-/// the AVX-512BW/clmul tier pins, the zero-fallback count, and two
-/// wall-clock-derived booleans with wide margins — the demap stage
-/// (fixed-point demap + word-parallel descramble) ≥3× faster than the
-/// f32 + bit-serial arm, and end-to-end throughput within 5 % of the
-/// scalar front end. The raw nanoseconds and Mbps live in the ungated
+/// Gated `uplink_fused_ingest` plus its ungated wall-clock companion,
+/// from the best-tier vs scalar-ceiling A/B. The gated side carries
+/// only exact metrics: the outcome and block counts, the best/scalar
+/// bit-equality boolean (iteration counts included), the AVX-512BW
+/// tier pin and the zero-steady-state-allocation count. The raw
+/// nanoseconds and Mbps live in the ungated companion so host noise
+/// never gates CI.
+fn uplink_fused_ingest_suites(best: &IsaRun, scalar: &IsaRun) -> [Suite; 2] {
+    let mut gated = Suite::new("uplink_fused_ingest", true);
+    let mut wall = Suite::new("uplink_fused_ingest_wallclock", false);
+    gated.push(
+        "avx512bw.accelerated",
+        f64::from(best_fused() == FusedImpl::MaskMergeAvx512),
+    );
+    gated.push("fused.ok.count", best.ok_packets as f64);
+    gated.push("fused.code_blocks", best.code_blocks as f64);
+    gated.push("fused.ingest_blocks.count", best.fused_blocks as f64);
+    gated.push("bitexact.count", f64::from(best.sigs == scalar.sigs));
+    gated.push(
+        "staging.steady_state_allocs.count",
+        (best.steady_allocs + scalar.steady_allocs) as f64,
+    );
+
+    wall.push("arrange.scalar_ceiling.mean_ns", scalar.arrange_mean_ns);
+    wall.push("arrange.fused.mean_ns", best.arrange_mean_ns);
+    wall.push(
+        "arrange.speedup",
+        scalar.arrange_mean_ns / best.arrange_mean_ns,
+    );
+    wall.push("e2e.scalar_ceiling.mbps", scalar.mbps);
+    wall.push("e2e.fused.mbps", best.mbps);
+    wall.push("e2e.speedup", best.mbps / scalar.mbps);
+    [gated, wall]
+}
+
+/// Front-end kernels against their retained references by direct
+/// call, on one 900 B packet's worth of 16-QAM symbols at 30 dB:
+/// median nanoseconds of `(simd, reference)` for demap + descramble
+/// (Q11 fixed-point demapper + word-parallel Gold sign-select vs the
+/// f32 demapper + bit-serial descrambler) and for a CRC24A check
+/// (table/clmul vs bit-serial).
+fn frontend_kernel_ns() -> ((f64, f64), (f64, f64)) {
+    let m = Modulation::Qam16;
+    let bits = random_bits(2 * 8 * 900, SIM_SEED);
+    let mut channel = AwgnChannel::new(30.0, SIM_SEED);
+    let symbols = channel.apply(&m.modulate(&bits));
+    let scale = (channel.llr_scale() / 8.0).clamp(0.25, 16.0);
+    let c_init = GoldSequence::c_init_pxsch(0x1234, 0, 4, 42);
+    let simd = median_ns(FUSED_REPS, || {
+        let mut llrs = Vec::new();
+        demap_into(best_demap(), m, &symbols, scale, &mut llrs);
+        descramble_llrs_with(best_descramble(), &mut llrs, c_init);
+        std::hint::black_box(llrs);
+    });
+    let reference = median_ns(FUSED_REPS, || {
+        let mut llrs = m.demodulate(&symbols, scale);
+        descramble_llrs(&mut llrs, c_init);
+        std::hint::black_box(llrs);
+    });
+    let tb = CRC24A.attach_with(best_crc(), &bits[..8 * 900]);
+    let crc_simd = median_ns(FUSED_REPS, || {
+        std::hint::black_box(CRC24A.check_with(best_crc(), std::hint::black_box(&tb)));
+    });
+    let crc_ref = median_ns(FUSED_REPS, || {
+        std::hint::black_box(CRC24A.check_with(CrcImpl::BitSerial, std::hint::black_box(&tb)));
+    });
+    ((simd, reference), (crc_simd, crc_ref))
+}
+
+/// Gated `uplink_frontend` plus its ungated wall-clock companion, from
+/// the best-tier vs scalar-ceiling A/B. The gated side carries only exact metrics: outcome counts, the
+/// best-tier vs scalar-ISA-ceiling outcome-signature equality
+/// (iteration counts included — every front-end tier is bit-exact),
+/// the AVX-512BW/clmul tier pins, the zero-fallback count, and one
+/// wall-clock-derived boolean with a wide margin — demap + descramble
+/// ≥3× faster than the retained f32 + bit-serial references, timed by
+/// direct call. The raw nanoseconds and Mbps live in the ungated
 /// companion so host noise never gates CI.
-fn uplink_frontend_suites() -> (Suite, Suite) {
+fn uplink_frontend_suites(simd: &IsaRun, scalar: &IsaRun) -> [Suite; 2] {
     let mut gated = Suite::new("uplink_frontend", true);
     let mut wall = Suite::new("uplink_frontend_wallclock", false);
-    let simd = frontend_run(true);
-    let scalar = frontend_run(false);
+    let ((demap_simd_ns, demap_ref_ns), (crc_simd_ns, crc_ref_ns)) = frontend_kernel_ns();
 
     gated.push(
         "avx512bw.accelerated",
@@ -751,40 +735,35 @@ fn uplink_frontend_suites() -> (Suite, Suite) {
         f64::from(best_crc() == CrcImpl::ClmulFold),
     );
     gated.push("simd.ok.count", simd.ok_packets as f64);
-    gated.push("scalar.ok.count", scalar.ok_packets as f64);
     gated.push("simd.frontend_packets.count", simd.frontend_packets as f64);
-    gated.push(
-        "scalar.frontend_packets.count",
-        scalar.frontend_packets as f64,
-    );
     gated.push("simd.fallbacks.count", simd.frontend_fallbacks as f64);
     gated.push(
         "outcomes.bitexact.count",
         f64::from(simd.sigs == scalar.sigs),
     );
-    let demap_speedup = scalar.demap_mean_ns / simd.demap_mean_ns;
+    let demap_speedup = demap_ref_ns / demap_simd_ns;
     gated.push(
         "demap_descramble.speedup_ge_3x.count",
         f64::from(demap_speedup >= 3.0),
     );
-    gated.push(
-        "e2e.simd_within_5pct.count",
-        f64::from(simd.mbps >= 0.95 * scalar.mbps),
-    );
 
-    wall.push("demap.scalar.mean_ns", scalar.demap_mean_ns);
-    wall.push("demap.simd.mean_ns", simd.demap_mean_ns);
+    wall.push("demap.reference.median_ns", demap_ref_ns);
+    wall.push("demap.simd.median_ns", demap_simd_ns);
     wall.push("demap.speedup", demap_speedup);
-    wall.push("crc.scalar.mean_ns", scalar.crc_mean_ns);
-    wall.push("crc.simd.mean_ns", simd.crc_mean_ns);
-    wall.push("crc.speedup", scalar.crc_mean_ns / simd.crc_mean_ns);
+    wall.push("crc.reference.median_ns", crc_ref_ns);
+    wall.push("crc.simd.median_ns", crc_simd_ns);
+    wall.push("crc.speedup", crc_ref_ns / crc_simd_ns);
+    wall.push("stage.demap.scalar_ceiling.mean_ns", scalar.demap_mean_ns);
+    wall.push("stage.demap.simd.mean_ns", simd.demap_mean_ns);
+    wall.push("stage.crc.scalar_ceiling.mean_ns", scalar.crc_mean_ns);
+    wall.push("stage.crc.simd.mean_ns", simd.crc_mean_ns);
     wall.push("kernel.demap.mean_ns", simd.kernel_demap_ns);
     wall.push("kernel.descramble.mean_ns", simd.kernel_descramble_ns);
     wall.push("kernel.crc.mean_ns", simd.kernel_crc_ns);
-    wall.push("e2e.scalar.mbps", scalar.mbps);
+    wall.push("e2e.scalar_ceiling.mbps", scalar.mbps);
     wall.push("e2e.simd.mbps", simd.mbps);
     wall.push("e2e.speedup", simd.mbps / scalar.mbps);
-    (gated, wall)
+    [gated, wall]
 }
 
 /// Ungated: the fused mask/merge ingest kernel through the port-level
@@ -825,34 +804,27 @@ fn fused_ingest_uarch_suite() -> Suite {
 }
 
 /// Gated: host-independent downlink outcomes at pinned seeds and
-/// sizes, once per [`EncoderBackend`] — the two backends must stay
-/// bit-identical (every metric equal between the `scalar.` and
-/// `packed.` prefixes) and must not drift across commits.
+/// sizes — the `packed.` prefix names the transmit path the rows were
+/// first recorded under.
 fn downlink_static_suite() -> Suite {
     let mut suite = Suite::new("downlink_static", true);
-    for (backend, name) in [
-        (EncoderBackend::Scalar, "scalar"),
-        (EncoderBackend::Packed, "packed"),
-    ] {
-        let cfg = DownlinkConfig {
-            snr_db: 30.0,
-            encoder_backend: backend,
-            ..Default::default()
-        };
-        let pipe = DownlinkPipeline::new(cfg);
-        let mut b = PacketBuilder::new(1000, 2000);
-        let (mut ok, mut blocks, mut coded) = (0usize, 0usize, 0usize);
-        for size in [64usize, 300, 900, 1400] {
-            let p = b.build(Transport::Udp, size).expect("valid size");
-            let r = pipe.process(&p);
-            ok += usize::from(r.dci_ok && r.data_ok);
-            blocks += r.code_blocks;
-            coded += r.coded_bits;
-        }
-        suite.push(format!("{name}.ok.count"), ok as f64);
-        suite.push(format!("{name}.code_blocks.count"), blocks as f64);
-        suite.push(format!("{name}.coded_bits.count"), coded as f64);
+    let cfg = DownlinkConfig {
+        snr_db: 30.0,
+        ..Default::default()
+    };
+    let pipe = DownlinkPipeline::new(cfg);
+    let mut b = PacketBuilder::new(1000, 2000);
+    let (mut ok, mut blocks, mut coded) = (0usize, 0usize, 0usize);
+    for size in [64usize, 300, 900, 1400] {
+        let p = b.build(Transport::Udp, size).expect("valid size");
+        let r = pipe.process(&p);
+        ok += usize::from(r.dci_ok && r.data_ok);
+        blocks += r.code_blocks;
+        coded += r.coded_bits;
     }
+    suite.push("packed.ok.count", ok as f64);
+    suite.push("packed.code_blocks.count", blocks as f64);
+    suite.push("packed.coded_bits.count", coded as f64);
     suite
 }
 
@@ -871,20 +843,15 @@ fn pipeline_static_suite(metrics: &PipelineMetrics) -> Suite {
 }
 
 /// Gated: deterministic fault-injection classification. Pushes the
-/// standard soak mix through both decoder backends at pinned seeds and
-/// pins every typed-error category count (`.count` metrics gate
-/// exactly): drift here means the error taxonomy, the injector's
-/// deterministic draw/mutation stream, or a backend's bit-exactness
-/// changed.
+/// standard soak mix through the uplink at pinned seeds and pins every
+/// typed-error category count (`.count` metrics gate exactly): drift
+/// here means the error taxonomy, the injector's deterministic
+/// draw/mutation stream, or the path's bit-exactness changed.
 fn pipeline_faults_suite() -> Suite {
     let mut suite = Suite::new("pipeline_faults", true);
-    for (backend, seed) in [
-        (DecoderBackend::Scalar, FAULT_SEED_SCALAR),
-        (DecoderBackend::Native, FAULT_SEED_NATIVE),
-    ] {
+    for (prefix, seed) in FAULT_SEEDS {
         let pm = std::sync::Arc::new(PipelineMetrics::new(true));
         let cfg = PipelineConfig {
-            backend,
             snr_db: 30.0,
             decoder_iterations: 4,
             ..Default::default()
@@ -902,10 +869,6 @@ fn pipeline_faults_suite() -> Suite {
             let p = b.build(transport, sizes[i % sizes.len()]).expect("valid");
             let _ = pipe.process(&p);
         }
-        let prefix = match backend {
-            DecoderBackend::Scalar => "scalar",
-            DecoderBackend::Native => "native",
-        };
         suite.push(format!("{prefix}.ok.count"), pm.ok_packets.get() as f64);
         for cat in ErrorCategory::ALL {
             suite.push(
@@ -1110,22 +1073,23 @@ fn build_report(only: &[String]) -> Result<(BenchReport, Option<String>), String
     if want("uplink_scaleout") {
         report.suites.push(uplink_scaleout_suite());
     }
-    if want("uplink_fused_ingest") || want("uplink_fused_ingest_wallclock") {
-        let (gated, wallclock) = uplink_fused_ingest_suites();
-        if want("uplink_fused_ingest") {
-            report.suites.push(gated);
-        }
-        if want("uplink_fused_ingest_wallclock") {
-            report.suites.push(wallclock);
-        }
-    }
-    if want("uplink_frontend") || want("uplink_frontend_wallclock") {
-        let (gated, wallclock) = uplink_frontend_suites();
-        if want("uplink_frontend") {
-            report.suites.push(gated);
-        }
-        if want("uplink_frontend_wallclock") {
-            report.suites.push(wallclock);
+    // The fused-ingest and front-end suites share one best-tier vs
+    // scalar-ceiling A/B.
+    let isa_suites = [
+        "uplink_fused_ingest",
+        "uplink_fused_ingest_wallclock",
+        "uplink_frontend",
+        "uplink_frontend_wallclock",
+    ];
+    if isa_suites.iter().any(|s| want(s)) {
+        let best = isa_run(false);
+        let scalar = isa_run(true);
+        let [fused, fused_wall] = uplink_fused_ingest_suites(&best, &scalar);
+        let [frontend, frontend_wall] = uplink_frontend_suites(&best, &scalar);
+        for suite in [fused, fused_wall, frontend, frontend_wall] {
+            if want(&suite.name) {
+                report.suites.push(suite);
+            }
         }
     }
     if want("uplink_stagegraph") {

@@ -138,9 +138,7 @@ fn baseline_has_stagegraph_suites() {
         .expect("uplink_stagegraph_wallclock");
     assert!(!wall.gated, "wall-clock comparisons must never gate CI");
     assert!(
-        wall.get("stagegraph.vs_serial_batch.speedup")
-            .unwrap_or(0.0)
-            > 0.0,
+        wall.get("stagegraph.vs_rob1.speedup").unwrap_or(0.0) > 0.0,
         "baseline lost the matched-semantics speedup"
     );
     assert!(wall.get("stagegraph.vs_serial_earlystop.speedup").is_some());

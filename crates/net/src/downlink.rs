@@ -7,42 +7,35 @@
 //! first and takes the data channel's modulation and redundancy
 //! version *from the decoded grant*, so a corrupted PDCCH fails the
 //! whole subframe exactly as it would on air.
+//!
+//! PDSCH runs the same production path as the uplink: the packed
+//! encoder and rate matcher on transmit; the SIMD front end, fused
+//! de-rate-match/APCM ingest and the native turbo decoder on receive,
+//! each at the best tier the `vran_simd::host` ISA ceiling allows.
 
-use crate::metrics::{PipelineMetrics, Stage};
+use crate::metrics::PipelineMetrics;
 use crate::packet::Packet;
-use crate::pipeline::{timed, EncoderBackend};
+use crate::pipeline::{record_encoder_tier, HotState};
 use std::cell::RefCell;
 use std::sync::Arc;
-use vran_arrange::{ArrangeKernel, Mechanism};
-use vran_phy::bits::{extend_bits_from_words, pack_msb, unpack_msb};
+use vran_arrange::{best_fused, fused_ingest_into};
+use vran_phy::bits::{pack_msb, unpack_msb};
 use vran_phy::channel::AwgnChannel;
-use vran_phy::crc::{best_crc, CrcImpl, CRC24A, CRC24B};
+use vran_phy::crc::{best_crc, CRC24A, CRC24B};
 use vran_phy::dci::{conv_encode_streams, llrs_from_streams, viterbi_decode_tb, Dci};
 use vran_phy::demap::{best_demap, demap_with};
 use vran_phy::equalizer::{Equalizer, FadingChannel};
-use vran_phy::llr::TurboLlrs;
+use vran_phy::llr::{Llr, TailLlrs};
 use vran_phy::modulation::{Cplx, Modulation};
 use vran_phy::rate_match::conv::ConvRateMatcher;
-use vran_phy::rate_match::{PackedRateMatcher, RateMatcher};
-use vran_phy::scrambler::{
-    best_descramble, descramble_llrs, descramble_llrs_with, scramble_bits, scramble_bits_serial,
-};
+use vran_phy::scrambler::{best_descramble, descramble_llrs_with, scramble_bits};
 use vran_phy::segmentation::Segmentation;
-use vran_phy::turbo::{EncodeScratch, EncoderIsa, PackedTurboEncoder, TurboDecoder, TurboEncoder};
-use vran_simd::RegWidth;
 
 /// Downlink configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct DownlinkConfig {
-    /// Arrangement width.
-    pub width: RegWidth,
-    /// Arrangement mechanism.
-    pub mechanism: Mechanism,
     /// PDSCH modulation (PDCCH is always QPSK).
     pub modulation: Modulation,
-    /// Transmit-side encoder implementation (bit-exact by
-    /// construction; see [`EncoderBackend`]).
-    pub encoder_backend: EncoderBackend,
     /// Es/N0 in dB.
     pub snr_db: f32,
     /// Turbo iteration cap.
@@ -54,26 +47,17 @@ pub struct DownlinkConfig {
     pub rv: u8,
     /// Channel seed.
     pub seed: u64,
-    /// Native SIMD front end (the default): fixed-point max-log
-    /// demapping, word-parallel Gold scrambling/descrambling and
-    /// table/clmul CRC — same A/B contrast as
-    /// [`PipelineConfig::frontend_simd`](crate::pipeline::PipelineConfig::frontend_simd).
-    pub frontend_simd: bool,
 }
 
 impl Default for DownlinkConfig {
     fn default() -> Self {
         Self {
-            width: RegWidth::Sse128,
-            mechanism: Mechanism::Baseline,
             modulation: Modulation::Qam16,
-            encoder_backend: EncoderBackend::Packed,
             snr_db: 16.0,
             decoder_iterations: 6,
             fading: false,
             rv: 0,
             seed: 1,
-            frontend_simd: true,
         }
     }
 }
@@ -114,52 +98,14 @@ pub struct DownlinkPipeline {
     cfg: DownlinkConfig,
     eq: Equalizer,
     metrics: Option<Arc<PipelineMetrics>>,
-    hot: RefCell<EncodeHot>,
-}
-
-/// Per-pipeline transmit-side hot state: packed encoders and rate
-/// matchers keyed by size, plus reusable word buffers — the
-/// steady-state PDSCH encode loop performs no heap allocation.
-#[derive(Debug, Clone, Default)]
-struct EncodeHot {
-    /// Packed encoders, keyed by block size K.
-    encs: Vec<PackedTurboEncoder>,
-    /// Packed rate matchers, keyed by per-stream length d.
-    rms: Vec<(usize, PackedRateMatcher)>,
-    /// Packed-word encode scratch shared across block sizes.
-    scratch: EncodeScratch,
-    /// Circular-buffer words (rate-matcher input).
-    wbuf: Vec<u64>,
-    /// Rate-matched output words.
-    ebuf: Vec<u64>,
-}
-
-impl EncodeHot {
-    /// Index of the cached packed encoder for block size `k`.
-    fn enc_index(&mut self, k: usize) -> usize {
-        match self.encs.iter().position(|e| e.k() == k) {
-            Some(i) => i,
-            None => {
-                self.encs.push(PackedTurboEncoder::new(k));
-                self.encs.len() - 1
-            }
-        }
-    }
-
-    /// Index of the cached packed rate matcher for stream length `d`.
-    fn rm_index(&mut self, d: usize) -> usize {
-        match self.rms.iter().position(|(rd, _)| *rd == d) {
-            Some(i) => i,
-            None => {
-                self.rms.push((d, PackedRateMatcher::new(d)));
-                self.rms.len() - 1
-            }
-        }
-    }
+    hot: RefCell<HotState>,
 }
 
 /// Subcarriers per resource grid (5 MHz).
 const GRID: usize = 300;
+
+/// PDSCH scrambling seed.
+const PDSCH_C_INIT: u32 = 0xC0FFEE & 0x7FFF_FFFF;
 
 impl DownlinkPipeline {
     /// New pipeline.
@@ -185,68 +131,83 @@ impl DownlinkPipeline {
         self.metrics.as_deref()
     }
 
-    /// Turbo-encode + rate-match every code block through the
-    /// configured [`EncoderBackend`]; returns the concatenated coded
-    /// bits and the per-block rate-match lengths.
+    /// Turbo-encode + rate-match every code block through the packed
+    /// encoder; returns the concatenated coded bits and the per-block
+    /// rate-match lengths.
     fn encode_blocks(&self, blocks: &[Vec<u8>]) -> (Vec<u8>, Vec<usize>) {
         let cfg = &self.cfg;
         let m = self.metrics.as_deref().filter(|m| m.is_enabled());
         let mut coded = Vec::new();
         let mut block_e = Vec::with_capacity(blocks.len());
         let hot = &mut *self.hot.borrow_mut();
-        if let Some(m) = m {
-            if cfg.encoder_backend == EncoderBackend::Packed {
-                if EncoderIsa::best() == EncoderIsa::Word64 {
-                    // Packed was requested but the host (or the test
-                    // ISA ceiling) offers no SIMD: the portable u64
-                    // kernel still runs 64 trellis steps per word, but
-                    // record the degradation for observability.
-                    m.packed_encoder_fallbacks.inc();
-                }
-                if EncoderIsa::best() < EncoderIsa::Avx512 {
-                    // Encoding runs below the widest (zmm) tier — the
-                    // deployment lost its 512-bit throughput.
-                    m.zmm_encoder_fallbacks.inc();
-                }
-            }
-        }
+        record_encoder_tier(m);
         for blk in blocks {
-            let k = blk.len();
-            let e = (2 * k).next_multiple_of(cfg.modulation.bits_per_symbol() * 2);
-            match cfg.encoder_backend {
-                EncoderBackend::Scalar => {
-                    let enc = TurboEncoder::new(k);
-                    let cw = timed(m, Stage::Encode, || enc.encode(blk));
-                    let rm = RateMatcher::new(k + 4);
-                    let d = cw.to_dstreams();
-                    timed(m, Stage::RateMatch, || {
-                        coded.extend(rm.rate_match(&d, e, cfg.rv as usize))
-                    });
-                }
-                EncoderBackend::Packed => {
-                    let ei = hot.enc_index(k);
-                    let rmi = hot.rm_index(k + 4);
-                    timed(m, Stage::Encode, || {
-                        hot.encs[ei].encode_dstreams_into(blk, &mut hot.scratch)
-                    });
-                    timed(m, Stage::RateMatch, || {
-                        let rm = &hot.rms[rmi].1;
-                        rm.pack_circular_into(hot.scratch.dstream_words(), &mut hot.wbuf)
-                            .expect("scratch streams sized to d");
-                        rm.try_rate_match_packed_into(
-                            &hot.wbuf,
-                            e,
-                            cfg.rv as usize & 3,
-                            &mut hot.ebuf,
-                        )
-                        .expect("rv masked to 0..4");
-                        extend_bits_from_words(&hot.ebuf, e, &mut coded);
-                    });
-                }
-            }
+            let e = (2 * blk.len()).next_multiple_of(cfg.modulation.bits_per_symbol() * 2);
+            hot.encode_block(blk, e, cfg.rv as usize & 3, m, &mut coded);
             block_e.push(e);
         }
         (coded, block_e)
+    }
+
+    /// De-rate-match, arrange and decode every code block of a received
+    /// PDSCH at redundancy version `rv` — the uplink serial path's
+    /// calls (per-block CRC24B early stop when the TB segments).
+    /// Returns whether every block decoded and its CRC, where present,
+    /// passed; the bits land in `hot.bits_pool[..blocks.len()]`.
+    fn decode_blocks(
+        &self,
+        hot: &mut HotState,
+        llrs: &[Llr],
+        blocks: &[Vec<u8>],
+        block_e: &[usize],
+        rv: usize,
+    ) -> bool {
+        if hot.bits_pool.len() < blocks.len() {
+            hot.bits_pool.resize_with(blocks.len(), Vec::new);
+        }
+        let crc = (blocks.len() > 1).then_some(&CRC24B);
+        let mut pos = 0;
+        for (i, (blk, &e)) in blocks.iter().zip(block_e).enumerate() {
+            let k = blk.len();
+            if pos + e > llrs.len() {
+                return false;
+            }
+            let rmi = hot.rm_index(k + 4);
+            if hot.rms[rmi]
+                .1
+                .try_de_rate_match_interleaved_into(&llrs[pos..pos + e], rv, &mut hot.inter)
+                .is_err()
+            {
+                return false;
+            }
+            pos += e;
+            let tails = TailLlrs::from_interleaved(&hot.inter, k);
+            let mut s = hot.acquire_streams(k, None);
+            fused_ingest_into(
+                best_fused(),
+                &hot.inter,
+                k,
+                &mut s.sys,
+                &mut s.p1,
+                &mut s.p2,
+            );
+            let di = hot.decoder_index(k, self.cfg.decoder_iterations, false);
+            let (_, crc_ok) = hot.natives[di].decode_streams_capped_into(
+                &s.sys,
+                &s.p1,
+                &s.p2,
+                &tails,
+                self.cfg.decoder_iterations,
+                crc,
+                &mut hot.scratch,
+                &mut hot.bits_pool[i],
+            );
+            hot.recycle(s);
+            if crc_ok == Some(false) {
+                return false;
+            }
+        }
+        true
     }
 
     /// Transmit symbols over the configured channel and return
@@ -296,13 +257,8 @@ impl DownlinkPipeline {
         let pdcch_syms = Modulation::Qpsk.modulate(&dci_coded);
 
         // ---- eNB: PDSCH ----
-        let crc_imp = if cfg.frontend_simd {
-            best_crc()
-        } else {
-            CrcImpl::BitSerial
-        };
         let frame_bits = unpack_msb(&packet.frame, packet.frame.len() * 8);
-        let tb = CRC24A.attach_with(crc_imp, &frame_bits);
+        let tb = CRC24A.attach_with(best_crc(), &frame_bits);
         let seg = Segmentation::plan(tb.len());
         let blocks = seg.segment(&tb);
         let (coded, block_e) = self.encode_blocks(&blocks);
@@ -310,11 +266,7 @@ impl DownlinkPipeline {
         let padded = coded.len().next_multiple_of(bps);
         let mut tx_bits = coded;
         tx_bits.resize(padded, 0);
-        if cfg.frontend_simd {
-            scramble_bits(&mut tx_bits, 0xC0FFEE & 0x7FFF_FFFF);
-        } else {
-            scramble_bits_serial(&mut tx_bits, 0xC0FFEE & 0x7FFF_FFFF);
-        }
+        scramble_bits(&mut tx_bits, PDSCH_C_INIT);
         let pdsch_syms = cfg.modulation.modulate(&tx_bits);
 
         // ---- channel (control then data, separate passes) ----
@@ -323,11 +275,7 @@ impl DownlinkPipeline {
 
         // ---- UE: decode the grant first (de-rate-match, then the
         // tail-biting Viterbi; the 144→66 repetition combines) ----
-        let dci_llrs = if cfg.frontend_simd {
-            demap_with(best_demap(), Modulation::Qpsk, &rx_pdcch, ctrl_scale)
-        } else {
-            Modulation::Qpsk.demodulate(&rx_pdcch, ctrl_scale)
-        };
+        let dci_llrs = demap_with(best_demap(), Modulation::Qpsk, &rx_pdcch, ctrl_scale);
         let dci_d = crm.de_rate_match(&dci_llrs[..PDCCH_E]);
         let rx_bits = viterbi_decode_tb(&llrs_from_streams(&dci_d), Dci::BITS);
         let rx_grant = Dci::from_bits(&rx_bits);
@@ -343,62 +291,17 @@ impl DownlinkPipeline {
 
         // ---- UE: PDSCH with parameters FROM THE GRANT ----
         let ue_mod = mcs_to_modulation(rx_grant.mcs);
-        let ue_rv = rx_grant.rv as usize;
-        let mut llrs = if cfg.frontend_simd {
-            demap_with(best_demap(), ue_mod, &rx_pdsch, data_scale)
-        } else {
-            ue_mod.demodulate(&rx_pdsch, data_scale)
-        };
+        let mut llrs = demap_with(best_demap(), ue_mod, &rx_pdsch, data_scale);
         llrs.truncate(padded);
-        if cfg.frontend_simd {
-            descramble_llrs_with(best_descramble(), &mut llrs, 0xC0FFEE & 0x7FFF_FFFF);
-        } else {
-            descramble_llrs(&mut llrs, 0xC0FFEE & 0x7FFF_FFFF);
-        }
+        descramble_llrs_with(best_descramble(), &mut llrs, PDSCH_C_INIT);
 
-        let mut decoded = Vec::new();
-        let mut pos = 0;
-        let mut all_ok = true;
-        for (i, blk) in blocks.iter().enumerate() {
-            let k = blk.len();
-            let e = block_e[i];
-            if pos + e > llrs.len() {
-                all_ok = false;
-                break;
-            }
-            let rm = RateMatcher::new(k + 4);
-            let d = rm.de_rate_match(&llrs[pos..pos + e], ue_rv);
-            pos += e;
-            let turbo_in = TurboLlrs::from_dstreams(&d, k);
-            // arrangement under test, as in the uplink
-            let kern = ArrangeKernel::new(cfg.width, cfg.mechanism);
-            let (streams, _) = kern.arrange(&turbo_in.to_interleaved(), false);
-            let streams = kern.depermute(&streams);
-            let input = TurboLlrs {
-                k,
-                streams,
-                tails: turbo_in.tails,
-            };
-            let dec = TurboDecoder::new(k, cfg.decoder_iterations);
-            let out = if blocks.len() > 1 {
-                let o = dec.decode_with_crc(&input, &CRC24B);
-                if o.crc_ok != Some(true) {
-                    all_ok = false;
-                }
-                o
-            } else {
-                dec.decode(&input)
-            };
-            decoded.push(out.bits);
-        }
-
-        let data_ok = all_ok
-            && decoded.len() == blocks.len()
+        let hot = &mut *self.hot.borrow_mut();
+        let data_ok = self.decode_blocks(hot, &llrs, &blocks, &block_e, rx_grant.rv as usize)
             && seg
-                .desegment(&decoded)
+                .desegment(&hot.bits_pool[..blocks.len()])
                 .and_then(|tb_bits| {
                     CRC24A
-                        .check_with(crc_imp, &tb_bits)
+                        .check_with(best_crc(), &tb_bits)
                         .map(|p| pack_msb(p) == packet.frame.to_vec())
                 })
                 .unwrap_or(false);
@@ -416,7 +319,6 @@ impl DownlinkPipeline {
 mod tests {
     use super::*;
     use crate::packet::{PacketBuilder, Transport};
-    use vran_arrange::ApcmVariant;
 
     fn packet(size: usize) -> Packet {
         PacketBuilder::new(80, 443)
@@ -474,46 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn mechanism_transparent_on_downlink_too() {
-        let mut outcomes = Vec::new();
-        for mech in [Mechanism::Baseline, Mechanism::Apcm(ApcmVariant::Shuffle)] {
-            let cfg = DownlinkConfig {
-                mechanism: mech,
-                snr_db: 14.0,
-                ..Default::default()
-            };
-            let r = DownlinkPipeline::new(cfg).process(&packet(700));
-            outcomes.push((r.dci_ok, r.data_ok, r.code_blocks));
-        }
-        assert_eq!(outcomes[0], outcomes[1]);
-    }
-
-    #[test]
-    fn packed_and_scalar_downlink_backends_agree() {
-        // Same packet, same channel seed: the packed fast path is
-        // bit-exact, so every observable field matches the scalar
-        // reference — including the noise realization, because the
-        // channel sees identical coded bits.
-        for (size, rv) in [(256usize, 0u8), (700, 2)] {
-            let outcomes: Vec<_> = [EncoderBackend::Scalar, EncoderBackend::Packed]
-                .into_iter()
-                .map(|encoder_backend| {
-                    let cfg = DownlinkConfig {
-                        snr_db: 25.0,
-                        rv,
-                        encoder_backend,
-                        ..Default::default()
-                    };
-                    let r = DownlinkPipeline::new(cfg).process(&packet(size));
-                    (r.dci_ok, r.data_ok, r.code_blocks, r.coded_bits)
-                })
-                .collect();
-            assert_eq!(outcomes[0], outcomes[1], "size={size} rv={rv}");
-            assert!(outcomes[0].1, "size={size} rv={rv}: {outcomes:?}");
-        }
-    }
-
-    #[test]
     fn downlink_hot_loop_reuses_encode_scratch() {
         let cfg = DownlinkConfig {
             snr_db: 25.0,
@@ -525,12 +387,12 @@ mod tests {
             assert!(pipe.process(&p).data_ok);
         }
         let hot = pipe.hot.borrow();
-        assert!(hot.scratch.allocations() > 0);
+        assert!(hot.enc_scratch.allocations() > 0);
         assert!(
-            hot.scratch.reuses() >= 3,
+            hot.enc_scratch.reuses() >= 3,
             "steady-state encodes must reuse scratch: allocs={} reuses={}",
-            hot.scratch.allocations(),
-            hot.scratch.reuses()
+            hot.enc_scratch.allocations(),
+            hot.enc_scratch.reuses()
         );
     }
 

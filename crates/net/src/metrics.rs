@@ -268,10 +268,9 @@ impl Stage {
 pub struct PipelineMetrics {
     enabled: bool,
     stages: [Histogram; Stage::COUNT],
-    /// Arrangement-stage latency when the fused APCM ingest ran —
-    /// recorded *in addition to* [`Stage::Arrange`] so dashboards keep
-    /// one continuous arrange series while the fused-vs-unfused split
-    /// stays visible.
+    /// Fused APCM ingest latency — recorded *in addition to*
+    /// [`Stage::Arrange`] so dashboards keep one continuous arrange
+    /// series.
     arrange_fused: Histogram,
     /// Demap share of [`Stage::Demap`] when the native SIMD front end
     /// ran (fixed-point kernel time only, excluding descramble).
@@ -301,25 +300,25 @@ pub struct PipelineMetrics {
     /// Code blocks whose decoder iteration budget was clamped by the
     /// per-packet deadline.
     pub deadline_clamps: Counter,
-    /// Native→Scalar backend degradations after repeated decode
-    /// failures.
+    /// Degradation-ladder demotions to the scalar decoder tier after
+    /// repeated decode failures.
     pub backend_degradations: Counter,
-    /// Degraded pipelines restored to the Native backend after
+    /// Degraded pipelines restored to the best decoder tier after
     /// sustained success.
     pub backend_restorations: Counter,
-    /// Packets that requested the Native backend but ran the scalar
-    /// SISO kernel because no SIMD ISA level was available.
+    /// Packets whose native decoder ran the scalar SISO kernel because
+    /// no SIMD ISA level was available.
     pub native_simd_fallbacks: Counter,
-    /// Packets that requested the Packed encoder backend but ran the
-    /// portable `u64` kernel because no SIMD ISA level was available
+    /// Packets whose packed encoder ran the portable `u64` kernel
+    /// because no SIMD ISA level was available
     /// (transmit-side counterpart of `native_simd_fallbacks`).
     pub packed_encoder_fallbacks: Counter,
-    /// Packets that requested batched Native decoding but ran the
+    /// Packets staged for batched decoding whose launches ran the
     /// narrower pair/single kernels because the host (or the test ISA
     /// ceiling) lacks AVX-512BW — the quad-in-zmm tier degraded.
     pub batch_simd_fallbacks: Counter,
-    /// Packets that requested the Packed encoder backend but ran a
-    /// sub-512-bit kernel because the host (or the test ISA ceiling)
+    /// Packets whose packed encoder ran a sub-512-bit kernel because
+    /// the host (or the test ISA ceiling)
     /// lacks AVX-512BW — the zmm encoder tier degraded.
     pub zmm_encoder_fallbacks: Counter,
     /// Circuit-breaker trips (a protected stage opened after
@@ -346,15 +345,12 @@ pub struct PipelineMetrics {
     /// Code blocks staged through the fused demap→zmm APCM ingest
     /// (de-rate-match straight into decoder-layout streams).
     pub fused_ingest_blocks: Counter,
-    /// Code blocks that requested fused ingest but fell back to the
-    /// unfused demap → de-rate-match → deinterleave chain.
-    pub fused_ingest_fallbacks: Counter,
-    /// Packets that ran the native SIMD front end (fixed-point demap +
+    /// Packets that ran the front end (fixed-point demap +
     /// word-parallel descramble + table/clmul CRC).
     pub frontend_packets: Counter,
-    /// Packets that requested the SIMD front end but ran one or more
-    /// scalar front-end kernels because no vector ISA level was
-    /// available (the front-end tier degraded).
+    /// Packets that ran one or more scalar front-end kernels because
+    /// no vector ISA level was available (the front-end tier
+    /// degraded).
     pub frontend_fallbacks: Counter,
 }
 
@@ -396,7 +392,6 @@ impl PipelineMetrics {
             staging_reuses: Counter::new(),
             staging_reallocs: Counter::new(),
             fused_ingest_blocks: Counter::new(),
-            fused_ingest_fallbacks: Counter::new(),
             frontend_packets: Counter::new(),
             frontend_fallbacks: Counter::new(),
         }
@@ -596,10 +591,6 @@ impl PipelineMetrics {
         out.push((
             "fused_ingest_blocks".into(),
             self.fused_ingest_blocks.get() as f64,
-        ));
-        out.push((
-            "fused_ingest_fallbacks".into(),
-            self.fused_ingest_fallbacks.get() as f64,
         ));
         out.push((
             "frontend_packets".into(),

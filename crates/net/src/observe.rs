@@ -89,8 +89,11 @@ const NO_REASON: u8 = 0xFF;
 pub struct TraceEvent {
     /// Event kind discriminant (see [`TraceKind`]).
     pub kind: u8,
-    /// Effective decoder backend (0 = native, 1 = scalar, 2 = native
-    /// degraded to scalar by the ladder); unused for non-packet events.
+    /// Effective decoder tier: 0 = the best tier the host (under the
+    /// ISA ceiling) offers, 2 = the scalar decoder tier the degradation
+    /// ladder falls back to. Value 1 ("scalar configured") is retired
+    /// with the configurable scalar backend and no longer emitted.
+    /// Unused for non-packet events.
     pub backend: u8,
     /// Flush reason discriminant for [`TraceKind::BatchFlush`]
     /// (0 = lanes full, 1 = deadline, 2 = drain, 0xFF = n/a).

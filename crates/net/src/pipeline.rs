@@ -10,13 +10,18 @@
 //!   → desegment → CRC check → frame bytes
 //! ```
 //!
-//! The receive side runs one of two [`DecoderBackend`]s: `Native`
-//! (default) uses real-intrinsics arrangement and turbo-decode kernels
-//! with runtime ISA dispatch and per-pipeline scratch reuse — the
-//! wall-clock fast path; `Scalar` runs the arrangement through the
-//! `vran-arrange` VM kernels and the scalar reference decoder — the
-//! functional-model path. Both are bit-exact by construction, so the
-//! backend never changes WHAT is computed, only how fast.
+//! Each direction runs one production path: the packed turbo encoder
+//! and rate matcher on transmit; on receive the native SIMD front end
+//! (fixed-point demap, word-parallel descramble, table/clmul CRC),
+//! fused de-rate-match/APCM ingest and the runtime-dispatched
+//! [`NativeTurboDecoder`], with per-pipeline scratch reuse. Every
+//! kernel picks its tier from the host's capabilities once, capped by
+//! the `vran_simd::host` ISA ceiling — the only A/B switch. The scalar
+//! tiers are bit-exact with the SIMD ones, so the ceiling never changes
+//! WHAT is computed, only how fast. The reference implementations
+//! (f32 demapper, bit-serial descrambler and CRC, per-bit turbo
+//! encoder, scalar turbo decoder, VM arrangement kernels) live on in
+//! `vran-phy` and `vran-arrange` as test oracles.
 //!
 //! # Fault tolerance
 //!
@@ -35,12 +40,13 @@
 //!   iteration cap when the packet has spent half its budget, then
 //!   aborts with [`PipelineError::DeadlineExceeded`] once the budget is
 //!   gone.
-//! * **Backend degradation ladder** — after [`DEGRADE_AFTER`]
-//!   consecutive decode failures a `Native` pipeline falls back to the
-//!   `Scalar` reference backend (bit-exact, so behavior-neutral —
-//!   this models falling off a suspect fast path), and restores after
-//!   [`RESTORE_AFTER`] consecutive successes. Both transitions are
-//!   observable in [`crate::metrics::PipelineMetrics`].
+//! * **Decoder degradation ladder** — after [`DEGRADE_AFTER`]
+//!   consecutive decode failures the pipeline decodes serially on the
+//!   native decoder's scalar tier ([`DecoderIsa::Scalar`]; bit- and
+//!   iteration-exact, so behavior-neutral — this models falling off a
+//!   suspect fast path), and restores after [`RESTORE_AFTER`]
+//!   consecutive successes. Both transitions are observable in
+//!   [`crate::metrics::PipelineMetrics`].
 
 use crate::error::{DecodeFailure, ErrorCategory, FrameFault, PipelineError, SegFault};
 use crate::faultinject::{FaultInjector, FaultKind};
@@ -52,26 +58,23 @@ use crate::packet::{Packet, ParsedPacket};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::time::Instant;
-use vran_arrange::{best_fused, fused_ingest_into, ArrangeKernel, Mechanism};
+use vran_arrange::{best_fused, fused_ingest_into};
 use vran_phy::bits::{extend_bits_from_words, pack_msb, unpack_msb};
 use vran_phy::channel::AwgnChannel;
-use vran_phy::crc::{best_crc, CrcImpl, CRC24A, CRC24B};
+use vran_phy::crc::{best_crc, CRC24A, CRC24B};
 use vran_phy::demap::{best_demap, demap_into, DemapImpl};
 use vran_phy::llr::{InterleavedLlrs, Llr, SoftStreams, TailLlrs, TurboLlrs};
 use vran_phy::modulation::Modulation;
 use vran_phy::ofdm::OfdmConfig;
 use vran_phy::rate_match::{PackedRateMatcher, RateMatcher};
 use vran_phy::scrambler::{
-    best_descramble, descramble_llrs, descramble_llrs_with, scramble_bits, DescrambleImpl,
-    GoldSequence,
+    best_descramble, descramble_llrs_with, scramble_bits, DescrambleImpl, GoldSequence,
 };
 use vran_phy::segmentation::Segmentation;
-use vran_phy::turbo::native_batch::{BATCH, QUAD};
 use vran_phy::turbo::{
-    BatchScratch, BlockLlrs, DecodeScratch, DecoderIsa, EncodeScratch, EncoderIsa,
-    NativeBatchTurboDecoder, NativeTurboDecoder, PackedTurboEncoder, TurboDecoder, TurboEncoder,
+    DecodeScratch, DecoderIsa, EncodeScratch, EncoderIsa, NativeBatchTurboDecoder,
+    NativeTurboDecoder, PackedTurboEncoder,
 };
-use vran_simd::RegWidth;
 
 /// Maximum code blocks per transport block the receive path accepts;
 /// plans beyond this classify as
@@ -79,63 +82,17 @@ use vran_simd::RegWidth;
 /// stay well under this at our 5 MHz configuration.
 pub const MAX_CODE_BLOCKS: usize = 8;
 
-/// Consecutive decode failures (CRC mismatch / divergence) before a
-/// `Native` pipeline degrades to the `Scalar` reference backend.
+/// Consecutive decode failures (CRC mismatch / divergence) before the
+/// pipeline degrades to the native decoder's scalar tier.
 pub const DEGRADE_AFTER: u32 = 8;
 
-/// Consecutive successes while degraded before the `Native` backend is
-/// restored.
+/// Consecutive successes while degraded before the best decoder tier
+/// is restored.
 pub const RESTORE_AFTER: u32 = 32;
-
-/// Which decoder implementation the receive path runs.
-///
-/// Both backends compute bit-identical results (the native kernels use
-/// the same saturating i16 operations in the same order as the scalar
-/// reference, enforced by `vran-phy`'s property tests); they differ
-/// only in wall-clock cost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DecoderBackend {
-    /// Scalar max-log-MAP reference plus the VM arrangement kernel
-    /// selected by `width`/`mechanism` — the functional-model path.
-    Scalar,
-    /// Real-intrinsics fast path: native APCM arrangement and the
-    /// runtime-dispatched [`NativeTurboDecoder`], with per-pipeline
-    /// scratch reuse (allocation-free per code block after warm-up).
-    #[default]
-    Native,
-}
-
-/// Which transmit-side turbo encoder + rate matcher the pipelines run.
-///
-/// Both backends are bit-exact by construction — the packed path
-/// exploits the encoder's GF(2) linearity, which cannot change WHAT is
-/// encoded, only how many bits advance per instruction (enforced by
-/// `vran-phy`'s property tests across all 188 QPP sizes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EncoderBackend {
-    /// Per-bit trellis walk and per-position rate-match readout — the
-    /// reference path.
-    Scalar,
-    /// Bitsliced fast path: [`PackedTurboEncoder`] (64 trellis steps
-    /// per `u64`, 128/256 per register under SSE2/AVX2) plus the
-    /// word-at-a-time [`PackedRateMatcher`], with per-pipeline
-    /// [`EncodeScratch`] reuse (allocation-free per code block after
-    /// warm-up).
-    #[default]
-    Packed,
-}
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
-    /// SIMD register width for the arrangement / decoder kernels.
-    pub width: RegWidth,
-    /// Arrangement mechanism under test.
-    pub mechanism: Mechanism,
-    /// Receive-side decoder implementation.
-    pub backend: DecoderBackend,
-    /// Transmit-side encoder implementation.
-    pub encoder_backend: EncoderBackend,
     /// Data-channel modulation.
     pub modulation: Modulation,
     /// Channel Es/N0 in dB.
@@ -157,48 +114,6 @@ pub struct PipelineConfig {
     /// a `deadline_clamps` metrics event); once the budget is exhausted
     /// the packet aborts with [`PipelineError::DeadlineExceeded`].
     pub deadline_ns: Option<u64>,
-    /// Decode a transport block's equal-K code blocks through the
-    /// multi-block-per-register [`NativeBatchTurboDecoder`] — four per
-    /// zmm on AVX-512BW hosts, two per ymm on AVX2, bit-exact narrower
-    /// fallbacks below that. Only meaningful under
-    /// [`DecoderBackend::Native`].
-    ///
-    /// **Deprecated as an opt-in**: the stage-graph runtime
-    /// ([`crate::stagegraph::StageGraph`], the default uplink path in
-    /// [`crate::runner::run_uplink_multicore`]) always decodes in batch
-    /// semantics — [`UplinkPipeline::prepare`] stages every code block
-    /// for cross-packet pooling regardless of this flag, so under the
-    /// stage graph the effective default is *on*. The flag now only
-    /// governs the direct [`UplinkPipeline::process`] call, where it
-    /// stays off by default because batched decoding runs a fixed
-    /// iteration count (no per-block CRC early stop), which changes the
-    /// reported `decoder_iterations` — the decoded bits stay
-    /// oracle-exact either way.
-    pub batch_decode: bool,
-    /// Fused APCM ingest (the default): under [`DecoderBackend::Native`]
-    /// the de-rate-matcher writes triple-interleaved clusters and one
-    /// mask/merge pass ([`vran_arrange::fused_ingest_into`]) segregates
-    /// them straight into pooled per-block stream buffers — replacing
-    /// the de-rate-match copy → stream multiplex → APCM de-interleave →
-    /// per-block clone chain with a single pass and zero intermediate
-    /// full-buffer copies. Bit-exact with the unfused chain (enforced
-    /// across all 188 QPP sizes and every ISA tier by the
-    /// `fused_exactness` sweep); `false` keeps the unfused chain for
-    /// A/B comparison.
-    pub fused_ingest: bool,
-    /// Native SIMD front end (the default): soft demapping runs the
-    /// Q11 fixed-point max-log kernels ([`vran_phy::demap`]) at the
-    /// best available ISA tier, LLR descrambling runs the
-    /// word-parallel Gold generator with SIMD sign-select, and CRC
-    /// attach/check run the table/clmul kernels — each bit-exact with
-    /// its scalar oracle (enforced by the `frontend_exactness` sweep).
-    /// `false` keeps the f32 reference demapper, bit-serial
-    /// descrambler and bit-serial CRC for A/B comparison. Note the
-    /// fixed-point demapper's LLRs differ from the f32 reference's by
-    /// quantization (≤ a couple of LSBs), so decode iteration counts
-    /// can shift between the two settings; decoded bits are unaffected
-    /// at operating SNR.
-    pub frontend_simd: bool,
     /// Per-stage circuit breakers (equalizer / demapper / decoder).
     /// `None` (the default) disables them — fault-injection soaks and
     /// the gated benchgate suites predate breakers and pin exact error
@@ -212,10 +127,6 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         Self {
-            width: RegWidth::Sse128,
-            mechanism: Mechanism::Baseline,
-            backend: DecoderBackend::Native,
-            encoder_backend: EncoderBackend::Packed,
             modulation: Modulation::Qam16,
             snr_db: 14.0,
             decoder_iterations: 6,
@@ -223,9 +134,6 @@ impl Default for PipelineConfig {
             fading: false,
             seed: 1,
             deadline_ns: None,
-            batch_decode: false,
-            fused_ingest: true,
-            frontend_simd: true,
             breakers: None,
         }
     }
@@ -285,6 +193,11 @@ impl PreparedUplink {
         self.tasks.len()
     }
 
+    /// The staged decode tasks, one per code block in block order.
+    pub fn tasks(&self) -> &[TurboLlrs] {
+        &self.tasks
+    }
+
     /// Decoder iteration cap the staged tasks must run with (already
     /// deadline-clamped when the packet spent half its budget before
     /// staging).
@@ -301,18 +214,18 @@ impl PreparedUplink {
 }
 
 /// Outcome of [`UplinkPipeline::prepare`]: either decode tasks to pool
-/// (the common Native-backend case) or a packet the serial path already
-/// finished end to end.
+/// (the common case) or a packet the serial path already finished end
+/// to end.
 #[derive(Debug)]
 pub enum Admission {
     /// Code blocks staged for pooled batch decode; hand the
     /// [`PreparedUplink`] back to [`UplinkPipeline::complete`] with the
     /// decoded bits to finish the packet.
     Staged(PreparedUplink),
-    /// The packet already completed serially — because the Scalar
-    /// backend (configured or via the degradation ladder) decodes
-    /// inline, or because it failed before reaching decode. Metrics and
-    /// the degradation ladder are already settled.
+    /// The packet already completed serially — because the degradation
+    /// ladder has the pipeline decoding inline on the scalar tier, or
+    /// because it failed before reaching decode. Metrics and the
+    /// degradation ladder are already settled.
     Ready(Result<PacketResult, PipelineError>),
 }
 
@@ -340,106 +253,101 @@ pub struct PacketResult {
     pub nanos: StageNanos,
 }
 
-/// Receive-side working state reused across packets so the per-code-
-/// block hot loop performs no heap allocation after warm-up: cached
-/// per-K decoders and rate matchers (QPP/wmap table construction is
-/// itself allocation-heavy) plus staging buffers that retain capacity.
+/// Per-pipeline working state of the PHY kernels, shared by the uplink
+/// and downlink pipelines, reused across packets so the per-code-block
+/// hot loops perform no heap allocation after warm-up: cached per-K
+/// encoders, decoders and rate matchers (QPP/wmap table construction
+/// is itself allocation-heavy) plus staging buffers that retain
+/// capacity.
 ///
 /// Lives behind a `RefCell` because `process` takes `&self`; pipelines
 /// are per-worker (the threaded runner builds one per thread), so the
 /// single-threaded interior mutability is sufficient.
 #[derive(Debug, Clone, Default)]
-struct HotState {
-    /// Native decoders, keyed by block size K.
-    natives: Vec<NativeTurboDecoder>,
-    /// Batched native decoders, keyed by block size K (iteration count
-    /// recorded alongside — deadline clamping can change it).
-    batches: Vec<(usize, NativeBatchTurboDecoder)>,
-    /// Scalar decoders, keyed by block size K.
-    scalars: Vec<(usize, TurboDecoder)>,
+pub(crate) struct HotState {
+    /// Native decoders at the best ISA tier, keyed by block size K.
+    pub(crate) natives: Vec<NativeTurboDecoder>,
+    /// Scalar-tier native decoders the degradation ladder falls back
+    /// to, keyed by block size K.
+    fallbacks: Vec<NativeTurboDecoder>,
     /// Rate matchers, keyed by per-stream length `d = K + 4`.
-    rms: Vec<(usize, RateMatcher)>,
+    pub(crate) rms: Vec<(usize, RateMatcher)>,
     /// Packed-word encoders, keyed by block size K (transmit side).
     packed_encs: Vec<PackedTurboEncoder>,
     /// Packed rate matchers, keyed by per-stream length `d = K + 4`.
     packed_rms: Vec<(usize, PackedRateMatcher)>,
     /// Packed-encoder working buffers (transmit side).
-    enc_scratch: EncodeScratch,
+    pub(crate) enc_scratch: EncodeScratch,
     /// Compacted circular-buffer staging for the packed rate matcher.
     wbuf: Vec<u64>,
     /// Rate-matched readout staging (packed words).
     ebuf: Vec<u64>,
-    /// De-rate-matcher output staging (`d⁽⁰⁾ d⁽¹⁾ d⁽²⁾`, length K+4).
-    dllr: [Vec<Llr>; 3],
-    /// Interleaved-triple staging for the arrangement step (3K LLRs).
-    inter: Vec<Llr>,
-    /// Arranged streams the native decoder reads (unfused serial path).
-    arranged: SoftStreams,
-    /// Free list of per-block stream buffers for staged decode tasks:
-    /// the ingest step pops one (retaining its capacity), the decode
-    /// consumer pushes it back ([`UplinkPipeline::recycle_streams`]),
-    /// so batching performs no steady-state allocation — replacing the
-    /// per-block `SoftStreams` clones staging used to take.
+    /// Triple-interleaved de-rate-matcher output the fused ingest
+    /// reads (3K LLRs plus the tail triples).
+    pub(crate) inter: Vec<Llr>,
+    /// Free list of per-block stream buffers: the ingest step pops one
+    /// (retaining its capacity) and the decode consumer pushes it back
+    /// ([`Self::recycle`]), so staging performs no steady-state
+    /// allocation.
     llr_pool: Vec<SoftStreams>,
-    /// Staged-batch-decoder working buffers (quad/pair kernels).
-    batch_scratch: BatchScratch,
     /// Native-decoder working buffers.
-    scratch: DecodeScratch,
+    pub(crate) scratch: DecodeScratch,
     /// Decoded-bit buffers, one per code-block index, reused across
     /// packets and handed to desegmentation as a slice.
-    bits_pool: Vec<Vec<u8>>,
-    /// Degradation ladder: consecutive decode-failure packets.
-    consecutive_failures: u32,
-    /// Degradation ladder: consecutive successes while degraded.
-    consecutive_successes: u32,
-    /// Whether the Native backend is currently degraded to Scalar.
-    degraded: bool,
+    pub(crate) bits_pool: Vec<Vec<u8>>,
 }
 
 impl HotState {
-    /// Index of the cached native decoder for block size `k`.
-    fn native_index(&mut self, k: usize, iterations: usize) -> usize {
-        match self.natives.iter().position(|d| d.k() == k) {
-            Some(i) => i,
-            None => {
-                self.natives.push(NativeTurboDecoder::new(k, iterations));
-                self.natives.len() - 1
-            }
-        }
+    /// Turbo-encode one code block with the packed encoder, rate-match
+    /// it to `e` bits at redundancy version `rv` and append them to
+    /// `coded`.
+    pub(crate) fn encode_block(
+        &mut self,
+        blk: &[u8],
+        e: usize,
+        rv: usize,
+        m: Option<&PipelineMetrics>,
+        coded: &mut Vec<u8>,
+    ) {
+        let k = blk.len();
+        let ei = self.packed_enc_index(k);
+        let rmi = self.packed_rm_index(k + 4);
+        timed(m, Stage::Encode, || {
+            self.packed_encs[ei].encode_dstreams_into(blk, &mut self.enc_scratch)
+        });
+        timed(m, Stage::RateMatch, || {
+            let rm = &self.packed_rms[rmi].1;
+            rm.pack_circular_into(self.enc_scratch.dstream_words(), &mut self.wbuf)
+                .expect("scratch streams sized to d");
+            rm.try_rate_match_packed_into(&self.wbuf, e, rv, &mut self.ebuf)
+                .expect("rv in 0..4");
+            extend_bits_from_words(&self.ebuf, e, coded);
+        });
     }
 
-    /// Index of the cached batch decoder for block size `k` running
-    /// exactly `iterations` iterations (stale-iteration entries for
-    /// the same K are evicted — only deadline clamping creates them).
-    fn batch_index(&mut self, k: usize, iterations: usize) -> usize {
-        match self
-            .batches
-            .iter()
-            .position(|(it, d)| d.k() == k && *it == iterations)
-        {
+    /// Index into `natives` (or, when `degraded`, into `fallbacks`) of
+    /// the cached decoder for block size `k`.
+    pub(crate) fn decoder_index(&mut self, k: usize, iterations: usize, degraded: bool) -> usize {
+        let cache = if degraded {
+            &mut self.fallbacks
+        } else {
+            &mut self.natives
+        };
+        match cache.iter().position(|d| d.k() == k) {
             Some(i) => i,
             None => {
-                self.batches.retain(|(_, d)| d.k() != k);
-                self.batches
-                    .push((iterations, NativeBatchTurboDecoder::new(k, iterations)));
-                self.batches.len() - 1
-            }
-        }
-    }
-
-    /// Index of the cached scalar decoder for block size `k`.
-    fn scalar_index(&mut self, k: usize, iterations: usize) -> usize {
-        match self.scalars.iter().position(|(dk, _)| *dk == k) {
-            Some(i) => i,
-            None => {
-                self.scalars.push((k, TurboDecoder::new(k, iterations)));
-                self.scalars.len() - 1
+                cache.push(if degraded {
+                    NativeTurboDecoder::with_isa(k, iterations, DecoderIsa::Scalar)
+                } else {
+                    NativeTurboDecoder::new(k, iterations)
+                });
+                cache.len() - 1
             }
         }
     }
 
     /// Index of the cached rate matcher for stream length `d`.
-    fn rm_index(&mut self, d: usize) -> usize {
+    pub(crate) fn rm_index(&mut self, d: usize) -> usize {
         match self.rms.iter().position(|(rd, _)| *rd == d) {
             Some(i) => i,
             None => {
@@ -477,7 +385,7 @@ impl HotState {
     /// the recycled buffer's capacity already covered `k`,
     /// `staging_reallocs` when the resize had to grow it (a K upswitch
     /// beyond anything the pool has seen).
-    fn acquire_streams(&mut self, k: usize, m: Option<&PipelineMetrics>) -> SoftStreams {
+    pub(crate) fn acquire_streams(&mut self, k: usize, m: Option<&PipelineMetrics>) -> SoftStreams {
         match self.llr_pool.pop() {
             Some(mut s) => {
                 let grew = s.sys.capacity() < k || s.p1.capacity() < k || s.p2.capacity() < k;
@@ -501,6 +409,39 @@ impl HotState {
             }
         }
     }
+
+    /// Return a stream buffer to the free list (dropped when the list
+    /// is full).
+    pub(crate) fn recycle(&mut self, streams: SoftStreams) {
+        if self.llr_pool.len() < LLR_POOL_CAP {
+            self.llr_pool.push(streams);
+        }
+    }
+}
+
+/// Record which encoder tier the host (or the test ISA ceiling) runs:
+/// `packed_encoder_fallbacks` when no SIMD tier is left (the portable
+/// u64 kernel), `zmm_encoder_fallbacks` below the 512-bit tier.
+pub(crate) fn record_encoder_tier(m: Option<&PipelineMetrics>) {
+    if let Some(m) = m {
+        if EncoderIsa::best() == EncoderIsa::Word64 {
+            m.packed_encoder_fallbacks.inc();
+        }
+        if EncoderIsa::best() < EncoderIsa::Avx512 {
+            m.zmm_encoder_fallbacks.inc();
+        }
+    }
+}
+
+/// Degradation-ladder state (see [`DEGRADE_AFTER`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct Ladder {
+    /// Consecutive decode-failure packets.
+    consecutive_failures: u32,
+    /// Consecutive successes while degraded.
+    consecutive_successes: u32,
+    /// Whether the ladder currently forces the scalar decoder tier.
+    degraded: bool,
 }
 
 /// Free-list cap: `MAX_CODE_BLOCKS` packets can be in flight per lane
@@ -518,6 +459,7 @@ pub struct UplinkPipeline {
     c_init: u32,
     metrics: Option<Arc<PipelineMetrics>>,
     hot: RefCell<HotState>,
+    ladder: Cell<Ladder>,
     faults: RefCell<Option<FaultInjector>>,
     /// Flight recorder receiving one trace event per settled packet.
     recorder: Option<Arc<FlightRecorder>>,
@@ -558,6 +500,7 @@ impl UplinkPipeline {
             c_init: GoldSequence::c_init_pxsch(0x1234, 0, 4, 42),
             metrics: None,
             hot: RefCell::new(HotState::default()),
+            ladder: Cell::new(Ladder::default()),
             faults: RefCell::new(None),
             recorder: None,
             breakers: RefCell::new(
@@ -598,9 +541,9 @@ impl UplinkPipeline {
     }
 
     /// Whether the degradation ladder currently forces the scalar
-    /// backend.
+    /// decoder tier.
     pub fn is_degraded(&self) -> bool {
-        self.hot.borrow().degraded
+        self.ladder.get().degraded
     }
 
     /// Attach a flight recorder: every settled packet (and breaker
@@ -684,12 +627,11 @@ impl UplinkPipeline {
         Some(err)
     }
 
-    /// Compact backend discriminant for trace events: 0 = native,
-    /// 1 = scalar (configured), 2 = native degraded to scalar.
+    /// Compact decoder-tier discriminant for trace events: 0 = best
+    /// tier, 2 = ladder-degraded to the scalar tier (1 is retired; see
+    /// [`TraceEvent::backend`]).
     fn backend_byte(&self) -> u8 {
-        if self.cfg.backend == DecoderBackend::Scalar {
-            1
-        } else if self.hot.borrow().degraded {
+        if self.is_degraded() {
             2
         } else {
             0
@@ -704,12 +646,9 @@ impl UplinkPipeline {
     /// Return a staged task's stream buffers to the free list so the
     /// next ingest reuses their capacity instead of allocating. The
     /// stage-graph runtime calls this after a batch launch scatters its
-    /// decoded bits; the serial batch path recycles inline.
+    /// decoded bits; the serial path recycles inline.
     pub(crate) fn recycle_streams(&self, streams: SoftStreams) {
-        let hot = &mut *self.hot.borrow_mut();
-        if hot.llr_pool.len() < LLR_POOL_CAP {
-            hot.llr_pool.push(streams);
-        }
+        self.hot.borrow_mut().recycle(streams);
     }
 
     /// The configuration.
@@ -717,7 +656,8 @@ impl UplinkPipeline {
         &self.cfg
     }
 
-    /// Process one framed packet through the complete loop.
+    /// Process one framed packet through the complete loop, decoding
+    /// its code blocks serially with per-block CRC24B early stop.
     ///
     /// Every failure classifies into a [`PipelineError`]; malformed or
     /// hostile input must never panic (the fault-injection soak pushes
@@ -746,14 +686,13 @@ impl UplinkPipeline {
     /// code blocks as pooled decode tasks (the stage-graph runtime's
     /// admission half).
     ///
-    /// Batch-decode semantics are always on here regardless of
-    /// [`PipelineConfig::batch_decode`] — cross-packet pooling is the
-    /// point. The Scalar/serial fallback ladder stays intact: when the
-    /// configured backend is `Scalar`, or the degradation ladder has
-    /// demoted a `Native` pipeline, the packet is processed serially to
-    /// completion and returned as [`Admission::Ready`] (already
-    /// settled). Pre-decode failures (malformed frames, segmentation
-    /// overflows, blown deadlines) also come back `Ready`.
+    /// The staged tasks decode with batch semantics (a fixed iteration
+    /// count, no in-loop CRC early stop) — cross-packet pooling is the
+    /// point. The degradation ladder stays intact: while it has the
+    /// pipeline on the scalar decoder tier, the packet is processed
+    /// serially to completion and returned as [`Admission::Ready`]
+    /// (already settled). Pre-decode failures (malformed frames,
+    /// segmentation overflows, blown deadlines) also come back `Ready`.
     pub fn prepare(&self, packet: &Packet) -> Admission {
         let m = self.metrics.as_deref().filter(|m| m.is_enabled());
         if let Some(e) = self.breaker_fastfail(m) {
@@ -781,7 +720,7 @@ impl UplinkPipeline {
     /// Finish a packet staged by [`Self::prepare`]: post-hoc per-block
     /// CRC24B classification (the batch kernels have no in-loop early
     /// stop), desegmentation, CRC24A and the L2 delivery check —
-    /// exactly the serial batch path's tail — then metrics and
+    /// exactly the serial path's tail — then metrics and
     /// degradation-ladder settlement.
     ///
     /// `decoded` holds one bit buffer per staged task, in task order;
@@ -801,11 +740,7 @@ impl UplinkPipeline {
         nanos.decode += decode_ns;
         let mut failed_blocks = 0usize;
         if decoded.len() > 1 {
-            let crc_imp = if self.cfg.frontend_simd {
-                best_crc()
-            } else {
-                CrcImpl::BitSerial
-            };
+            let crc_imp = best_crc();
             for bits in decoded {
                 if CRC24B.check_with(crc_imp, bits).is_none() {
                     failed_blocks += 1;
@@ -878,18 +813,18 @@ impl UplinkPipeline {
                 total_ns,
             ));
         }
-        let hot = &mut *self.hot.borrow_mut();
+        let mut ladder = self.ladder.get();
         match result {
             Ok(r) => {
                 if let Some(m) = m {
                     m.record_packet(true, r.code_blocks, r.decoder_iterations);
                 }
-                hot.consecutive_failures = 0;
-                if hot.degraded {
-                    hot.consecutive_successes += 1;
-                    if hot.consecutive_successes >= RESTORE_AFTER {
-                        hot.degraded = false;
-                        hot.consecutive_successes = 0;
+                ladder.consecutive_failures = 0;
+                if ladder.degraded {
+                    ladder.consecutive_successes += 1;
+                    if ladder.consecutive_successes >= RESTORE_AFTER {
+                        ladder.degraded = false;
+                        ladder.consecutive_successes = 0;
                         if let Some(m) = m {
                             m.backend_restorations.inc();
                         }
@@ -904,19 +839,16 @@ impl UplinkPipeline {
                 }
                 // Only decode-quality failures climb the ladder; a
                 // malformed frame or a blown deadline says nothing
-                // about the decoder backend.
+                // about the decoder.
                 if matches!(
                     e.category(),
                     ErrorCategory::CrcMismatch | ErrorCategory::DecoderDiverged
                 ) {
-                    hot.consecutive_successes = 0;
-                    hot.consecutive_failures += 1;
-                    if !hot.degraded
-                        && self.cfg.backend == DecoderBackend::Native
-                        && hot.consecutive_failures >= DEGRADE_AFTER
-                    {
-                        hot.degraded = true;
-                        hot.consecutive_failures = 0;
+                    ladder.consecutive_successes = 0;
+                    ladder.consecutive_failures += 1;
+                    if !ladder.degraded && ladder.consecutive_failures >= DEGRADE_AFTER {
+                        ladder.degraded = true;
+                        ladder.consecutive_failures = 0;
                         if let Some(m) = m {
                             m.backend_degradations.inc();
                         }
@@ -924,14 +856,14 @@ impl UplinkPipeline {
                 }
             }
         }
+        self.ladder.set(ladder);
     }
 
     /// The shared pipeline body behind [`Self::process`] and
-    /// [`Self::prepare`]. With `stage` set, the Native backend's code
-    /// blocks are arranged and then *staged* (batch semantics forced —
-    /// see [`PipelineConfig::batch_decode`]) instead of decoded
-    /// inline; the Scalar backend (configured or ladder-degraded)
-    /// still completes serially.
+    /// [`Self::prepare`]. With `stage` set, the code blocks are
+    /// ingested and then *staged* for pooled batch decode instead of
+    /// decoded inline; a ladder-degraded pipeline still completes
+    /// serially on the scalar decoder tier.
     fn process_inner(
         &self,
         packet: &Packet,
@@ -973,16 +905,12 @@ impl UplinkPipeline {
             .expect("TB sized to fit");
         let frame_bits = unpack_msb(&pdu, pdu.len() * 8);
         let tb = timed(m, Stage::Crc, || {
-            if cfg.frontend_simd {
-                let t = Instant::now();
-                let tb = CRC24A.attach_with(best_crc(), &frame_bits);
-                if let Some(m) = m {
-                    m.record_frontend_crc(t.elapsed().as_nanos() as u64);
-                }
-                tb
-            } else {
-                CRC24A.attach_with(CrcImpl::BitSerial, &frame_bits)
+            let t = Instant::now();
+            let tb = CRC24A.attach_with(best_crc(), &frame_bits);
+            if let Some(m) = m {
+                m.record_frontend_crc(t.elapsed().as_nanos() as u64);
             }
+            tb
         });
         let seg = timed(m, Stage::Segment, || Segmentation::try_plan(tb.len()))?;
         self.trace_k.set(seg.k_of(0) as u16);
@@ -997,56 +925,15 @@ impl UplinkPipeline {
         let blocks = timed(m, Stage::Segment, || seg.try_segment(&tb))?;
         let mut coded = Vec::new();
         let mut block_e = Vec::with_capacity(blocks.len());
+        record_encoder_tier(m);
         {
             let hot = &mut *self.hot.borrow_mut();
-            if let Some(m) = m {
-                if cfg.encoder_backend == EncoderBackend::Packed {
-                    if EncoderIsa::best() == EncoderIsa::Word64 {
-                        // The packed fast path is selected but the host
-                        // (or the test ISA ceiling) offers no SIMD:
-                        // encoding runs the portable u64 kernel. Same
-                        // observability story as native_simd_fallbacks
-                        // on the receive side.
-                        m.packed_encoder_fallbacks.inc();
-                    }
-                    if EncoderIsa::best() < EncoderIsa::Avx512 {
-                        // Encoding runs below the widest (zmm) tier —
-                        // the deployment lost its 512-bit throughput.
-                        m.zmm_encoder_fallbacks.inc();
-                    }
-                }
-            }
             for blk in &blocks {
                 let k = blk.len();
                 let e = ((k as u64 * cfg.rate_x1024 as u64 / 1024) as usize)
                     .next_multiple_of(cfg.modulation.bits_per_symbol() * 2)
                     .min(3 * (k + 4) * 2); // cap repetition at 2×
-                match cfg.encoder_backend {
-                    EncoderBackend::Scalar => {
-                        let enc = TurboEncoder::new(k);
-                        let cw = timed(m, Stage::Encode, || enc.encode(blk));
-                        let rm = RateMatcher::new(k + 4);
-                        let d = cw.to_dstreams();
-                        timed(m, Stage::RateMatch, || {
-                            coded.extend(rm.rate_match(&d, e, 0))
-                        });
-                    }
-                    EncoderBackend::Packed => {
-                        let ei = hot.packed_enc_index(k);
-                        let rmi = hot.packed_rm_index(k + 4);
-                        timed(m, Stage::Encode, || {
-                            hot.packed_encs[ei].encode_dstreams_into(blk, &mut hot.enc_scratch)
-                        });
-                        timed(m, Stage::RateMatch, || {
-                            let rm = &hot.packed_rms[rmi].1;
-                            rm.pack_circular_into(hot.enc_scratch.dstream_words(), &mut hot.wbuf)
-                                .expect("scratch streams sized to d");
-                            rm.try_rate_match_packed_into(&hot.wbuf, e, 0, &mut hot.ebuf)
-                                .expect("rv 0 always valid");
-                            extend_bits_from_words(&hot.ebuf, e, &mut coded);
-                        });
-                    }
-                }
+                hot.encode_block(blk, e, 0, m, &mut coded);
                 block_e.push(e);
             }
         }
@@ -1060,11 +947,7 @@ impl UplinkPipeline {
         let padded_len = tx_bits.len().next_multiple_of(bps);
         tx_bits.resize(padded_len, 0);
         let symbols = timed(m, Stage::Modulate, || {
-            if cfg.frontend_simd {
-                scramble_bits(&mut tx_bits, self.c_init);
-            } else {
-                vran_phy::scrambler::scramble_bits_serial(&mut tx_bits, self.c_init);
-            }
+            scramble_bits(&mut tx_bits, self.c_init);
             cfg.modulation.modulate(&tx_bits)
         });
         let (rx_symbols, scale) = timed(m, Stage::Ofdm, || {
@@ -1080,40 +963,30 @@ impl UplinkPipeline {
         });
         nanos.transport = t0.elapsed().as_nanos() as u64;
 
-        // ---- demap, descramble, de-rate-match ----
+        // ---- demap, descramble ----
         let t0 = Instant::now();
         if let Some(m) = m {
-            if cfg.frontend_simd {
-                m.frontend_packets.inc();
-                if best_demap() == DemapImpl::Scalar
-                    || best_descramble() == DescrambleImpl::ScalarWord
-                {
-                    // The SIMD front end is requested but the host (or
-                    // the test ISA ceiling) runs a scalar kernel: the
-                    // deployment lost its front-end speedup.
-                    m.frontend_fallbacks.inc();
-                }
+            m.frontend_packets.inc();
+            if best_demap() == DemapImpl::Scalar || best_descramble() == DescrambleImpl::ScalarWord
+            {
+                // The host (or the test ISA ceiling) runs a scalar
+                // front-end kernel: the deployment lost its front-end
+                // speedup.
+                m.frontend_fallbacks.inc();
             }
         }
         let mut llrs = timed(m, Stage::Demap, || {
-            if cfg.frontend_simd {
-                let t_demap = Instant::now();
-                let mut llrs = Vec::new();
-                demap_into(best_demap(), cfg.modulation, &rx_symbols, scale, &mut llrs);
-                llrs.truncate(padded_len);
-                let demap_ns = t_demap.elapsed().as_nanos() as u64;
-                let t_descramble = Instant::now();
-                descramble_llrs_with(best_descramble(), &mut llrs, self.c_init);
-                if let Some(m) = m {
-                    m.record_frontend_demap(demap_ns, t_descramble.elapsed().as_nanos() as u64);
-                }
-                llrs
-            } else {
-                let mut llrs = cfg.modulation.demodulate(&rx_symbols, scale);
-                llrs.truncate(padded_len);
-                descramble_llrs(&mut llrs, self.c_init);
-                llrs
+            let t_demap = Instant::now();
+            let mut llrs = Vec::new();
+            demap_into(best_demap(), cfg.modulation, &rx_symbols, scale, &mut llrs);
+            llrs.truncate(padded_len);
+            let demap_ns = t_demap.elapsed().as_nanos() as u64;
+            let t_descramble = Instant::now();
+            descramble_llrs_with(best_descramble(), &mut llrs, self.c_init);
+            if let Some(m) = m {
+                m.record_frontend_demap(demap_ns, t_descramble.elapsed().as_nanos() as u64);
             }
+            llrs
         });
         nanos.demap = t0.elapsed().as_nanos() as u64;
 
@@ -1126,24 +999,20 @@ impl UplinkPipeline {
 
         // ---- per code block: de-rate-match, ARRANGE, decode ----
         let hot = &mut *self.hot.borrow_mut();
-        let backend = if hot.degraded && cfg.backend == DecoderBackend::Native {
-            DecoderBackend::Scalar
-        } else {
-            cfg.backend
-        };
-        let batching = (cfg.batch_decode || stage) && backend == DecoderBackend::Native;
+        let degraded = self.is_degraded();
+        let batching = stage && !degraded;
         if let Some(m) = m {
-            if backend == DecoderBackend::Native && DecoderIsa::best() == DecoderIsa::Scalar {
-                // The fast path is selected but the host (or the test
-                // ISA ceiling) offers no SIMD: the native decoder runs
-                // its scalar kernels. Worth observing — it means the
-                // deployment lost its SIMD speedup.
+            if !degraded && DecoderIsa::best() == DecoderIsa::Scalar {
+                // The host (or the test ISA ceiling) offers no SIMD:
+                // the native decoder runs its scalar kernels. Worth
+                // observing — it means the deployment lost its SIMD
+                // speedup.
                 m.native_simd_fallbacks.inc();
             }
             if batching && !NativeBatchTurboDecoder::is_zmm_accelerated() {
-                // Batched decode is selected but the host (or the test
-                // ISA ceiling) lacks AVX-512BW: blocks decode through
-                // the narrower pair/single kernels, bit-exactly.
+                // The host (or the test ISA ceiling) lacks AVX-512BW:
+                // staged blocks decode through the narrower pair/single
+                // kernels, bit-exactly.
                 m.batch_simd_fallbacks.inc();
             }
         }
@@ -1155,258 +1024,101 @@ impl UplinkPipeline {
         let mut iterations = 0;
         let mut pos = 0;
         let mut failed_blocks = 0usize;
-        let mut batch_inputs: Vec<TurboLlrs> = Vec::new();
-        // Fused APCM ingest applies only to the Native backend; when
-        // the degradation ladder demotes a fused-configured pipeline to
-        // Scalar, the blocks run the unfused chain (counted below).
-        let fused = cfg.fused_ingest && backend == DecoderBackend::Native;
+        let mut tasks: Vec<TurboLlrs> = Vec::new();
         for (i, blk) in blocks.iter().enumerate() {
             let k = blk.len();
             let e = block_e[i];
             let rmi = hot.rm_index(k + 4);
-            if let Some(m) = m {
-                if cfg.fused_ingest && !fused && cfg.backend == DecoderBackend::Native {
-                    m.fused_ingest_fallbacks.inc();
-                }
-            }
+            // The de-rate-matcher accumulates straight into the
+            // triple-interleaved cluster layout (Fig 8a), so no separate
+            // multiplex pass runs before arrangement.
             let t0 = Instant::now();
-            let tails = if fused {
-                // The fused chain's only staging write: the
-                // de-rate-matcher accumulates straight into the
-                // triple-interleaved cluster layout (Fig 8a), so no
-                // separate multiplex pass runs before arrangement.
-                timed(m, Stage::RateMatch, || {
-                    hot.rms[rmi].1.try_de_rate_match_interleaved_into(
-                        &llrs[pos..pos + e],
-                        0,
-                        &mut hot.inter,
-                    )
-                })?;
-                TailLlrs::from_interleaved(&hot.inter, k)
-            } else {
-                timed(m, Stage::RateMatch, || {
-                    hot.rms[rmi]
-                        .1
-                        .try_de_rate_match_into(&llrs[pos..pos + e], 0, &mut hot.dllr)
-                })?;
-                TailLlrs::from_dstreams(&hot.dllr, k)
-            };
+            timed(m, Stage::RateMatch, || {
+                hot.rms[rmi].1.try_de_rate_match_interleaved_into(
+                    &llrs[pos..pos + e],
+                    0,
+                    &mut hot.inter,
+                )
+            })?;
+            let tails = TailLlrs::from_interleaved(&hot.inter, k);
             pos += e;
             nanos.demap += t0.elapsed().as_nanos() as u64;
 
-            // Deadline gate before the expensive decode: abort when the
-            // budget is gone, halve the iteration cap when half is.
-            // (In batch mode the decode happens after this loop, so a
-            // single gate guards the batched phase instead.)
-            let mut iter_cap = cfg.decoder_iterations;
-            if !batching {
-                if let Some(budget) = cfg.deadline_ns {
-                    let elapsed = start.elapsed().as_nanos() as u64;
-                    if elapsed >= budget {
-                        return Err(PipelineError::DeadlineExceeded {
-                            budget_ns: budget,
-                            elapsed_ns: elapsed,
-                        });
-                    }
-                    if elapsed.saturating_mul(2) >= budget {
-                        iter_cap = (cfg.decoder_iterations / 2).max(1);
-                        if let Some(m) = m {
-                            m.deadline_clamps.inc();
-                        }
-                    }
-                }
+            // Deadline gate before the expensive arrange + decode (the
+            // staged path gates once, after the loop).
+            let iter_cap = if batching {
+                cfg.decoder_iterations
+            } else {
+                self.deadline_cap(start, m)?
+            };
+
+            // The data arrangement process under test: one mask/merge
+            // pass segregates the interleaved clusters straight into a
+            // pooled per-block stream buffer — the layout the decoders
+            // read in place.
+            let t0 = Instant::now();
+            let mut streams = hot.acquire_streams(k, m);
+            let tf = m.map(|_| Instant::now());
+            fused_ingest_into(
+                best_fused(),
+                &hot.inter,
+                k,
+                &mut streams.sys,
+                &mut streams.p1,
+                &mut streams.p2,
+            );
+            if let (Some(m), Some(tf)) = (m, tf) {
+                m.record_arrange_fused(tf.elapsed().as_nanos() as u64);
+                m.fused_ingest_blocks.inc();
+            }
+            nanos.arrangement += t0.elapsed().as_nanos() as u64;
+
+            if batching {
+                // Stage this block for pooled decode — the pooled
+                // buffer rides inside the task, zero-copy.
+                tasks.push(TurboLlrs { k, streams, tails });
+                continue;
             }
 
-            match backend {
-                DecoderBackend::Native if fused => {
-                    // The data arrangement process under test, fused
-                    // flavor: the de-rate-matcher already wrote the
-                    // interleaved clusters, so one mask/merge pass
-                    // segregates them straight into a pooled per-block
-                    // stream buffer — the layout the quad-in-zmm batch
-                    // decoder reads in place. No multiplex copy, no
-                    // shared staging buffer, no per-block clone.
-                    let t0 = Instant::now();
-                    let mut streams = hot.acquire_streams(k, m);
-                    let tf = m.map(|_| Instant::now());
-                    fused_ingest_into(
-                        best_fused(),
-                        &hot.inter,
-                        k,
-                        &mut streams.sys,
-                        &mut streams.p1,
-                        &mut streams.p2,
-                    );
-                    if let (Some(m), Some(tf)) = (m, tf) {
-                        m.record_arrange_fused(tf.elapsed().as_nanos() as u64);
-                        m.fused_ingest_blocks.inc();
-                    }
-                    nanos.arrangement += t0.elapsed().as_nanos() as u64;
-
-                    if batching {
-                        // Stage this block for the grouped quad/pair
-                        // decode after the loop — the pooled buffer
-                        // rides inside the task, zero-copy.
-                        batch_inputs.push(TurboLlrs { k, streams, tails });
-                        continue;
-                    }
-
-                    let t0 = Instant::now();
-                    let di = hot.native_index(k, cfg.decoder_iterations);
-                    let crc = (blocks.len() > 1).then_some(&CRC24B);
-                    let (iters, crc_ok) = timed(m, Stage::Decode, || {
-                        hot.natives[di].decode_streams_capped_into(
-                            &streams.sys,
-                            &streams.p1,
-                            &streams.p2,
-                            &tails,
-                            iter_cap,
-                            crc,
-                            &mut hot.scratch,
-                            &mut hot.bits_pool[i],
-                        )
-                    });
-                    iterations += iters;
-                    nanos.decode += t0.elapsed().as_nanos() as u64;
-                    if hot.llr_pool.len() < LLR_POOL_CAP {
-                        hot.llr_pool.push(streams);
-                    }
-                    if crc_ok == Some(false) {
-                        failed_blocks += 1;
-                    }
-                }
-                DecoderBackend::Native => {
-                    // The data arrangement process under test, unfused
-                    // native flavor (kept for A/B against the fused
-                    // ingest): multiplex the streams into the triples
-                    // the de-rate-matcher hands the decoder (Fig 8a),
-                    // then segregate them with the best real-intrinsics
-                    // APCM kernel the host supports.
-                    let t0 = Instant::now();
-                    if batching {
-                        // Segregate straight into a pooled buffer and
-                        // stage it — no per-block clone here either.
-                        let mut streams = hot.acquire_streams(k, m);
-                        timed(m, Stage::Arrange, || {
-                            hot.inter.resize(3 * k, 0);
-                            for j in 0..k {
-                                hot.inter[3 * j] = hot.dllr[0][j];
-                                hot.inter[3 * j + 1] = hot.dllr[1][j];
-                                hot.inter[3 * j + 2] = hot.dllr[2][j];
-                            }
-                            vran_arrange::native::deinterleave_into(
-                                vran_arrange::native::best_apcm(),
-                                &hot.inter,
-                                k,
-                                &mut streams,
-                            );
-                        });
-                        nanos.arrangement += t0.elapsed().as_nanos() as u64;
-                        batch_inputs.push(TurboLlrs { k, streams, tails });
-                        continue;
-                    }
-                    timed(m, Stage::Arrange, || {
-                        hot.inter.resize(3 * k, 0);
-                        for j in 0..k {
-                            hot.inter[3 * j] = hot.dllr[0][j];
-                            hot.inter[3 * j + 1] = hot.dllr[1][j];
-                            hot.inter[3 * j + 2] = hot.dllr[2][j];
-                        }
-                        hot.arranged.sys.resize(k, 0);
-                        hot.arranged.p1.resize(k, 0);
-                        hot.arranged.p2.resize(k, 0);
-                        vran_arrange::native::deinterleave_into(
-                            vran_arrange::native::best_apcm(),
-                            &hot.inter,
-                            k,
-                            &mut hot.arranged,
-                        );
-                    });
-                    nanos.arrangement += t0.elapsed().as_nanos() as u64;
-
-                    let t0 = Instant::now();
-                    let di = hot.native_index(k, cfg.decoder_iterations);
-                    let crc = (blocks.len() > 1).then_some(&CRC24B);
-                    let (iters, crc_ok) = timed(m, Stage::Decode, || {
-                        hot.natives[di].decode_streams_capped_into(
-                            &hot.arranged.sys,
-                            &hot.arranged.p1,
-                            &hot.arranged.p2,
-                            &tails,
-                            iter_cap,
-                            crc,
-                            &mut hot.scratch,
-                            &mut hot.bits_pool[i],
-                        )
-                    });
-                    iterations += iters;
-                    nanos.decode += t0.elapsed().as_nanos() as u64;
-                    if crc_ok == Some(false) {
-                        failed_blocks += 1;
-                    }
-                }
-                DecoderBackend::Scalar => {
-                    let turbo_in = TurboLlrs::from_dstreams(&hot.dllr, k);
-
-                    // The data arrangement process under test, VM
-                    // flavor: the configured mechanism/width kernel
-                    // segregates the interleaved triples.
-                    let t0 = Instant::now();
-                    let arranged = timed(m, Stage::Arrange, || {
-                        let interleaved = turbo_in.to_interleaved();
-                        let kern = ArrangeKernel::new(cfg.width, cfg.mechanism);
-                        let (arranged, _) = kern.arrange(&interleaved, false);
-                        kern.depermute(&arranged)
-                    });
-                    nanos.arrangement += t0.elapsed().as_nanos() as u64;
-
-                    let t0 = Instant::now();
-                    let dec_in = TurboLlrs {
-                        k,
-                        streams: arranged,
-                        tails: turbo_in.tails,
-                    };
-                    let si = hot.scalar_index(k, cfg.decoder_iterations);
-                    let crc = (blocks.len() > 1).then_some(&CRC24B);
-                    let out = timed(m, Stage::Decode, || {
-                        hot.scalars[si].1.decode_capped(&dec_in, iter_cap, crc)
-                    });
-                    iterations += out.iterations_run;
-                    nanos.decode += t0.elapsed().as_nanos() as u64;
-                    if out.crc_ok == Some(false) {
-                        failed_blocks += 1;
-                    }
-                    hot.bits_pool[i] = out.bits;
-                }
+            let t0 = Instant::now();
+            let di = hot.decoder_index(k, cfg.decoder_iterations, degraded);
+            let dec = if degraded {
+                &hot.fallbacks[di]
+            } else {
+                &hot.natives[di]
+            };
+            let crc = (blocks.len() > 1).then_some(&CRC24B);
+            let (iters, crc_ok) = timed(m, Stage::Decode, || {
+                dec.decode_streams_capped_into(
+                    &streams.sys,
+                    &streams.p1,
+                    &streams.p2,
+                    &tails,
+                    iter_cap,
+                    crc,
+                    &mut hot.scratch,
+                    &mut hot.bits_pool[i],
+                )
+            });
+            iterations += iters;
+            nanos.decode += t0.elapsed().as_nanos() as u64;
+            hot.recycle(streams);
+            if crc_ok == Some(false) {
+                failed_blocks += 1;
             }
         }
 
-        if stage && batching {
-            // One deadline gate before staging, mirroring the serial
-            // batch path's single pre-decode gate. The clamped cap
-            // rides into the pool so the launch honours it.
-            let mut iter_cap = cfg.decoder_iterations;
-            if let Some(budget) = cfg.deadline_ns {
-                let elapsed = start.elapsed().as_nanos() as u64;
-                if elapsed >= budget {
-                    return Err(PipelineError::DeadlineExceeded {
-                        budget_ns: budget,
-                        elapsed_ns: elapsed,
-                    });
-                }
-                if elapsed.saturating_mul(2) >= budget {
-                    iter_cap = (cfg.decoder_iterations / 2).max(1);
-                    if let Some(m) = m {
-                        m.deadline_clamps.inc();
-                    }
-                }
-            }
-            if let Some(m) = m {
-                m.record_scratch(
-                    hot.scratch.allocations() - scratch_allocs0,
-                    hot.scratch.reuses() - scratch_reuses0,
-                );
-            }
+        if let Some(m) = m {
+            m.record_scratch(
+                hot.scratch.allocations() - scratch_allocs0,
+                hot.scratch.reuses() - scratch_reuses0,
+            );
+        }
+
+        if batching {
+            // One deadline gate before staging; the clamped cap rides
+            // into the pool so the launch honours it.
+            let iter_cap = self.deadline_cap(start, m)?;
             let frame = mutated.unwrap_or_else(|| packet.frame.clone());
             return Ok(Phase::Staged(Box::new(PreparedUplink {
                 start,
@@ -1417,125 +1129,8 @@ impl UplinkPipeline {
                 coded_bits: pos,
                 nanos,
                 iter_cap,
-                tasks: batch_inputs,
+                tasks,
             })));
-        }
-
-        if batching && !batch_inputs.is_empty() {
-            // One deadline gate for the whole batched decode phase.
-            let mut iter_cap = cfg.decoder_iterations;
-            if let Some(budget) = cfg.deadline_ns {
-                let elapsed = start.elapsed().as_nanos() as u64;
-                if elapsed >= budget {
-                    return Err(PipelineError::DeadlineExceeded {
-                        budget_ns: budget,
-                        elapsed_ns: elapsed,
-                    });
-                }
-                if elapsed.saturating_mul(2) >= budget {
-                    iter_cap = (cfg.decoder_iterations / 2).max(1);
-                    if let Some(m) = m {
-                        m.deadline_clamps.inc();
-                    }
-                }
-            }
-            let t0 = Instant::now();
-            timed(m, Stage::Decode, || {
-                // Decode runs of equal-K blocks in quads, then pairs,
-                // then a single leftover — the batch decoder itself
-                // degrades quad→pair→single below AVX-512BW, so every
-                // grouping is bit-exact with serial native decodes.
-                let mut idx = 0;
-                while idx < batch_inputs.len() {
-                    let k = batch_inputs[idx].k;
-                    let mut end = idx + 1;
-                    while end < batch_inputs.len() && batch_inputs[end].k == k {
-                        end += 1;
-                    }
-                    let bi = hot.batch_index(k, iter_cap);
-                    let mut j = idx;
-                    while j + QUAD <= end {
-                        // Staged entry point: the kernels read the
-                        // pooled task buffers in place (no internal
-                        // re-interleave copy) and write bits into the
-                        // reused bit pool.
-                        let inputs: [BlockLlrs<'_>; QUAD] =
-                            core::array::from_fn(|g| BlockLlrs::from_turbo(&batch_inputs[j + g]));
-                        let bits: &mut [Vec<u8>; QUAD] = (&mut hot.bits_pool[j..j + QUAD])
-                            .try_into()
-                            .expect("quad run");
-                        let iters = hot.batches[bi].1.decode_quad_staged_into(
-                            inputs,
-                            &mut hot.batch_scratch,
-                            bits,
-                        );
-                        iterations += QUAD * iters;
-                        j += QUAD;
-                    }
-                    while j + BATCH <= end {
-                        let inputs: [BlockLlrs<'_>; BATCH] =
-                            core::array::from_fn(|g| BlockLlrs::from_turbo(&batch_inputs[j + g]));
-                        let bits: &mut [Vec<u8>; BATCH] = (&mut hot.bits_pool[j..j + BATCH])
-                            .try_into()
-                            .expect("pair run");
-                        let iters = hot.batches[bi].1.decode_pair_staged_into(
-                            inputs,
-                            &mut hot.batch_scratch,
-                            bits,
-                        );
-                        iterations += BATCH * iters;
-                        j += BATCH;
-                    }
-                    if j < end {
-                        // Single leftover: same fixed-iteration,
-                        // no-early-stop semantics as the batch members.
-                        let input = &batch_inputs[j];
-                        let di = hot.native_index(k, cfg.decoder_iterations);
-                        let (iters, _) = hot.natives[di].decode_streams_capped_into(
-                            &input.streams.sys,
-                            &input.streams.p1,
-                            &input.streams.p2,
-                            &input.tails,
-                            iter_cap,
-                            None,
-                            &mut hot.scratch,
-                            &mut hot.bits_pool[j],
-                        );
-                        iterations += iters;
-                    }
-                    idx = end;
-                }
-            });
-            // The batch kernels have no in-loop CRC early stop; check
-            // each block afterwards so failures classify exactly like
-            // the serial path's.
-            if blocks.len() > 1 {
-                let crc_imp = if cfg.frontend_simd {
-                    best_crc()
-                } else {
-                    CrcImpl::BitSerial
-                };
-                for bits in hot.bits_pool[..blocks.len()].iter() {
-                    if CRC24B.check_with(crc_imp, bits).is_none() {
-                        failed_blocks += 1;
-                    }
-                }
-            }
-            nanos.decode += t0.elapsed().as_nanos() as u64;
-            // Decode is done reading the pooled task buffers — return
-            // them to the free list for the next packet's ingest.
-            for t in batch_inputs.drain(..) {
-                if hot.llr_pool.len() < LLR_POOL_CAP {
-                    hot.llr_pool.push(t.streams);
-                }
-            }
-        }
-
-        if let Some(m) = m {
-            m.record_scratch(
-                hot.scratch.allocations() - scratch_allocs0,
-                hot.scratch.reuses() - scratch_reuses0,
-            );
         }
 
         self.finish(
@@ -1551,6 +1146,34 @@ impl UplinkPipeline {
             nanos,
         )
         .map(Phase::Complete)
+    }
+
+    /// Deadline gate before decode: abort when the budget is gone,
+    /// halve the iteration cap (a `deadline_clamps` event) when half of
+    /// it is. Returns the iteration cap to decode with.
+    fn deadline_cap(
+        &self,
+        start: Instant,
+        m: Option<&PipelineMetrics>,
+    ) -> Result<usize, PipelineError> {
+        let full = self.cfg.decoder_iterations;
+        let Some(budget) = self.cfg.deadline_ns else {
+            return Ok(full);
+        };
+        let elapsed = start.elapsed().as_nanos() as u64;
+        if elapsed >= budget {
+            return Err(PipelineError::DeadlineExceeded {
+                budget_ns: budget,
+                elapsed_ns: elapsed,
+            });
+        }
+        if elapsed.saturating_mul(2) < budget {
+            return Ok(full);
+        }
+        if let Some(m) = m {
+            m.deadline_clamps.inc();
+        }
+        Ok((full / 2).max(1))
     }
 
     /// Reassemble, de-encapsulate & verify: the tail shared by the
@@ -1595,16 +1218,12 @@ impl UplinkPipeline {
             None => return Err(PipelineError::CrcMismatch(failure)),
         };
         let payload = match timed(m, Stage::Crc, || {
-            if self.cfg.frontend_simd {
-                let t = Instant::now();
-                let p = CRC24A.check_with(best_crc(), &rx_tb);
-                if let Some(m) = m {
-                    m.record_frontend_crc(t.elapsed().as_nanos() as u64);
-                }
-                p
-            } else {
-                CRC24A.check_with(CrcImpl::BitSerial, &rx_tb)
+            let t = Instant::now();
+            let p = CRC24A.check_with(best_crc(), &rx_tb);
+            if let Some(m) = m {
+                m.record_frontend_crc(t.elapsed().as_nanos() as u64);
             }
+            p
         }) {
             Some(p) => p,
             None => return Err(PipelineError::CrcMismatch(failure)),
@@ -1686,7 +1305,6 @@ mod tests {
     use super::*;
     use crate::faultinject::FaultMix;
     use crate::packet::{PacketBuilder, Transport};
-    use vran_arrange::ApcmVariant;
 
     fn run(cfg: PipelineConfig, size: usize) -> Result<PacketResult, PipelineError> {
         let mut b = PacketBuilder::new(1000, 2000);
@@ -1760,142 +1378,6 @@ mod tests {
     }
 
     #[test]
-    fn all_mechanisms_and_widths_produce_identical_outcomes() {
-        // The paper's functional-equivalence requirement: the
-        // arrangement mechanism must not change WHAT is computed.
-        let mut results = Vec::new();
-        for width in RegWidth::ALL {
-            for mech in [
-                Mechanism::Baseline,
-                Mechanism::Apcm(ApcmVariant::Shuffle),
-                Mechanism::Apcm(ApcmVariant::MaskRotate),
-            ] {
-                let cfg = PipelineConfig {
-                    width,
-                    mechanism: mech,
-                    backend: DecoderBackend::Scalar,
-                    snr_db: 12.0,
-                    ..Default::default()
-                };
-                let r = run(cfg, 512);
-                results.push((width, mech.name(), signature(&r)));
-            }
-        }
-        let first = results[0].2;
-        for (w, m, sig) in &results {
-            assert_eq!(*sig, first, "{w} {m} diverged: {results:?}");
-        }
-        assert!(first.0, "the common outcome should be success at 12 dB");
-        // ... and neither must the native fast path.
-        let native = run(
-            PipelineConfig {
-                snr_db: 12.0,
-                ..Default::default()
-            },
-            512,
-        );
-        assert_eq!(signature(&native), first);
-    }
-
-    #[test]
-    fn native_and_scalar_backends_agree() {
-        // The fast path's bit-exactness contract, observed end to end:
-        // identical outcomes, iteration counts and coded-bit volumes
-        // across packet sizes (1 and ≥2 code blocks) and channel
-        // qualities, including a failing one.
-        for (size, snr) in [(64usize, 30.0f32), (256, 8.0), (1500, 30.0), (256, 2.0)] {
-            let results: Vec<Result<PacketResult, PipelineError>> =
-                [DecoderBackend::Scalar, DecoderBackend::Native]
-                    .into_iter()
-                    .map(|backend| {
-                        run(
-                            PipelineConfig {
-                                backend,
-                                snr_db: snr,
-                                ..Default::default()
-                            },
-                            size,
-                        )
-                    })
-                    .collect();
-            let (s, n) = (&results[0], &results[1]);
-            assert_eq!(signature(s), signature(n), "{size} B at {snr} dB diverged");
-            if let (Ok(s), Ok(n)) = (s, n) {
-                assert_eq!(s.coded_bits, n.coded_bits, "{size} B at {snr} dB");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_decode_round_trips_and_matches_serial_bits() {
-        // The opt-in batched decode path (quad-in-zmm where the host
-        // has AVX-512BW, pair/single otherwise) must recover the exact
-        // same transport blocks as the serial native path. Iteration
-        // counts differ by design — batch decode runs a fixed schedule
-        // with no CRC early stop — so only bit-level outcomes and
-        // volumes are compared.
-        for size in [64usize, 512, 1500] {
-            let serial = run(
-                PipelineConfig {
-                    snr_db: 30.0,
-                    ..Default::default()
-                },
-                size,
-            )
-            .expect("serial native path must decode a clean channel");
-            let batched = run(
-                PipelineConfig {
-                    snr_db: 30.0,
-                    batch_decode: true,
-                    ..Default::default()
-                },
-                size,
-            )
-            .expect("batched native path must decode a clean channel");
-            assert_eq!(serial.tb_bits, batched.tb_bits, "{size} B");
-            assert_eq!(serial.code_blocks, batched.code_blocks, "{size} B");
-            assert_eq!(serial.coded_bits, batched.coded_bits, "{size} B");
-            // Fixed schedule: every block runs the full iteration cap.
-            let cfg = PipelineConfig::default();
-            assert_eq!(
-                batched.decoder_iterations,
-                batched.code_blocks * cfg.decoder_iterations,
-                "{size} B: batch decode runs the full iteration budget"
-            );
-        }
-    }
-
-    #[test]
-    fn packed_and_scalar_encoder_backends_agree() {
-        // The transmit fast path's bit-exactness contract, observed end
-        // to end: identical outcomes, iteration counts and coded-bit
-        // volumes — the channel sees the exact same bits, so even the
-        // noise realization is shared.
-        for (size, snr) in [(64usize, 30.0f32), (512, 8.0), (1500, 30.0)] {
-            let results: Vec<Result<PacketResult, PipelineError>> =
-                [EncoderBackend::Scalar, EncoderBackend::Packed]
-                    .into_iter()
-                    .map(|encoder_backend| {
-                        run(
-                            PipelineConfig {
-                                encoder_backend,
-                                modulation: Modulation::Qpsk,
-                                snr_db: snr,
-                                ..Default::default()
-                            },
-                            size,
-                        )
-                    })
-                    .collect();
-            let (s, p) = (&results[0], &results[1]);
-            assert_eq!(signature(s), signature(p), "{size} B at {snr} dB diverged");
-            if let (Ok(s), Ok(p)) = (s, p) {
-                assert_eq!(s.coded_bits, p.coded_bits, "{size} B at {snr} dB");
-            }
-        }
-    }
-
-    #[test]
     fn packed_encoder_hot_loop_reuses_scratch() {
         // Second identical packet must not grow the encode scratch.
         let cfg = PipelineConfig {
@@ -1944,47 +1426,12 @@ mod tests {
     }
 
     #[test]
-    fn fused_ingest_matches_unfused_chain() {
-        // The fused mask/merge ingest replaces de-rate-match copy →
-        // multiplex → APCM de-interleave with one pass; outcomes
-        // (including iteration counts) must be identical, serial and
-        // batched, mono- and multi-block.
-        for batch in [false, true] {
-            for size in [64, 300, 900, 1400] {
-                let fused = run(
-                    PipelineConfig {
-                        batch_decode: batch,
-                        snr_db: 12.0,
-                        ..Default::default()
-                    },
-                    size,
-                );
-                let unfused = run(
-                    PipelineConfig {
-                        batch_decode: batch,
-                        fused_ingest: false,
-                        snr_db: 12.0,
-                        ..Default::default()
-                    },
-                    size,
-                );
-                assert_eq!(
-                    signature(&fused),
-                    signature(&unfused),
-                    "fused vs unfused at size {size}, batch {batch}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn fused_batching_reaches_zero_steady_state_allocation() {
         // The per-block `SoftStreams` clones are gone: after warm-up,
         // staging buffers come off the free list (capacity retained)
         // and no steady-state allocation remains.
         let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new(true));
         let cfg = PipelineConfig {
-            batch_decode: true,
             snr_db: 30.0,
             ..Default::default()
         };
@@ -2030,7 +1477,6 @@ mod tests {
         // seen the largest K, even those stop.
         let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new(true));
         let cfg = PipelineConfig {
-            batch_decode: true,
             snr_db: 30.0,
             ..Default::default()
         };
@@ -2052,30 +1498,6 @@ mod tests {
             metrics.staging_reallocs.get(),
             reallocs_warm,
             "pool capacity must cover every K after one full cycle"
-        );
-    }
-
-    #[test]
-    fn degraded_pipeline_counts_fused_fallbacks() {
-        // When the ladder demotes Native → Scalar, requested fused
-        // ingest cannot run; the fallback counter says so.
-        let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new(true));
-        let cfg = PipelineConfig {
-            modulation: Modulation::Qam64,
-            snr_db: -10.0,
-            decoder_iterations: 2,
-            ..Default::default()
-        };
-        let pipe = UplinkPipeline::with_metrics(cfg, metrics.clone());
-        let mut b = PacketBuilder::new(1000, 2000);
-        for _ in 0..DEGRADE_AFTER + 2 {
-            let p = b.build(Transport::Udp, 128).unwrap();
-            let _ = pipe.process(&p);
-        }
-        assert!(pipe.is_degraded(), "hopeless SNR must degrade the ladder");
-        assert!(
-            metrics.fused_ingest_fallbacks.get() > 0,
-            "degraded blocks must count as fused-ingest fallbacks"
         );
     }
 
@@ -2344,7 +1766,7 @@ mod tests {
         let metrics = std::sync::Arc::new(crate::metrics::PipelineMetrics::new(true));
         let cfg = PipelineConfig {
             snr_db: 30.0,
-            ..Default::default() // Native backend
+            ..Default::default()
         };
         let mut pipe = UplinkPipeline::with_metrics(cfg, metrics.clone());
         pipe.set_fault_injector(FaultInjector::with_mix(
@@ -2353,6 +1775,9 @@ mod tests {
         ));
         let mut b = PacketBuilder::new(1000, 2000);
         let p = b.build(Transport::Udp, 256).unwrap();
+        let healthy = UplinkPipeline::new(cfg)
+            .process(&p)
+            .expect("clean channel decodes at the best tier");
 
         // Hammer with LLR sign-flips until the ladder trips.
         let mut tries = 0;
@@ -2364,14 +1789,25 @@ mod tests {
         assert!(tries >= DEGRADE_AFTER as usize, "tripped early: {tries}");
         assert_eq!(metrics.backend_degradations.get(), 1);
         assert_eq!(metrics.backend_restorations.get(), 0);
+        assert_eq!(pipe.backend_byte(), 2, "trace marks the scalar tier");
 
-        // Degraded pipeline still decodes clean traffic (bit-exact
-        // scalar path), and restores after enough successes.
+        // The degraded pipeline decodes clean traffic serially on the
+        // native decoder's scalar tier — bit- and iteration-exact with
+        // the best tier — and restores after enough successes.
         pipe.set_fault_injector(FaultInjector::with_mix(1, FaultMix::only(FaultKind::Clean)));
         for i in 0..RESTORE_AFTER {
+            let r = pipe
+                .process(&p)
+                .unwrap_or_else(|e| panic!("clean packet {i} failed while degraded: {e}"));
+            assert_eq!(r.decoder_iterations, healthy.decoder_iterations);
+            assert_eq!(r.coded_bits, healthy.coded_bits);
+        }
+        {
+            let hot = pipe.hot.borrow();
+            assert!(!hot.fallbacks.is_empty(), "fallback decoders were built");
             assert!(
-                pipe.process(&p).is_ok(),
-                "clean packet {i} failed while degraded"
+                hot.fallbacks.iter().all(|d| d.isa() == DecoderIsa::Scalar),
+                "the fallback runs the scalar decoder tier"
             );
         }
         assert!(
@@ -2379,6 +1815,7 @@ mod tests {
             "ladder must restore after {RESTORE_AFTER} successes"
         );
         assert_eq!(metrics.backend_restorations.get(), 1);
+        assert_eq!(pipe.backend_byte(), 0, "restored to the best tier");
     }
 
     #[test]

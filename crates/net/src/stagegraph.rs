@@ -39,10 +39,14 @@
 //!   ([`UplinkPipeline::complete`]): per-block CRC24B, desegment,
 //!   CRC24A, L2 delivery check.
 //! * **Error taxonomy and the degradation ladder.** `prepare` fails
-//!   with the same typed [`PipelineError`]s at the same points; the
-//!   Scalar backend (configured or ladder-degraded) completes serially
-//!   inside `prepare` and retires through the same reorder stage. The
-//!   ladder settles at completion, exactly as in `process`.
+//!   with the same typed [`PipelineError`]s at the same points. A
+//!   ladder-degraded pipeline decodes serially on the scalar decoder
+//!   tier inside `prepare` and retires through the same reorder stage.
+//!   The ladder settles at completion, exactly as in `process`.
+//! * **One path, one switch.** The graph has no implementation knobs
+//!   of its own: every kernel it drives (front end, fused ingest,
+//!   quad/pair/single decoders) picks its tier from the host under the
+//!   `vran_simd::host` ISA ceiling, and every tier is bit-exact.
 //! * **In-order per-UE delivery.** Packets retire from the ROB out of
 //!   order, but each UE's results are resequenced by admission number
 //!   before [`StageGraph::pop_completed`] surfaces them.
@@ -312,8 +316,8 @@ impl StageGraph {
         };
         match admission {
             Admission::Ready(result) => {
-                // Completed serially (Scalar backend, degraded ladder,
-                // or a pre-decode failure) — but an earlier same-UE
+                // Completed serially (degraded ladder or a pre-decode
+                // failure) — but an earlier same-UE
                 // packet may still be in flight, so it joins the
                 // reorder stage like everyone else.
                 self.retire(ue, seq, result);
@@ -605,8 +609,8 @@ impl StageGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faultinject::{FaultInjector, FaultKind, FaultMix};
     use crate::packet::{PacketBuilder, Transport};
-    use crate::pipeline::DecoderBackend;
 
     fn cfg() -> PipelineConfig {
         PipelineConfig {
@@ -626,26 +630,53 @@ mod tests {
         }
     }
 
+    /// Reference outcome for one packet from public calls only:
+    /// `prepare`, then each staged task through a single-block native
+    /// decoder at the packet's iteration cap with no CRC early stop —
+    /// the batch semantics every pool launch runs — then `complete`.
+    fn reference(pipe: &UplinkPipeline, p: &Packet) -> Result<PacketResult, PipelineError> {
+        let prep = match pipe.prepare(p) {
+            Admission::Ready(r) => return r,
+            Admission::Staged(prep) => prep,
+        };
+        let cap = prep.iter_cap();
+        let mut scratch = DecodeScratch::default();
+        let mut iterations = 0;
+        let bits: Vec<Vec<u8>> = prep
+            .tasks()
+            .iter()
+            .map(|t| {
+                let mut bits = Vec::new();
+                let (iters, _) = NativeTurboDecoder::new(t.k, cap).decode_streams_capped_into(
+                    &t.streams.sys,
+                    &t.streams.p1,
+                    &t.streams.p2,
+                    &t.tails,
+                    cap,
+                    None,
+                    &mut scratch,
+                    &mut bits,
+                );
+                iterations += iters;
+                bits
+            })
+            .collect();
+        pipe.complete(prep, &bits, iterations, 0)
+    }
+
     #[test]
     fn staged_results_match_serial_process() {
         let sizes = [64usize, 128, 300, 600, 900, 1200, 1400];
         let mut bs = PacketBuilder::new(1000, 2000);
         let mut bg = PacketBuilder::new(1000, 2000);
-        // Batch semantics run a fixed iteration count (no CRC early
-        // stop), so the iteration-for-iteration oracle is the serial
-        // *batch* path, which existing pipeline tests pin bit-exact
-        // against the plain serial path.
-        let serial = UplinkPipeline::new(PipelineConfig {
-            batch_decode: true,
-            ..cfg()
-        });
+        let serial = UplinkPipeline::new(cfg());
         let mut graph = StageGraph::with_config(cfg(), StageGraphConfig::default());
         let mut expect = Vec::new();
         for (i, &sz) in sizes.iter().cycle().take(40).enumerate() {
             let ps = bs.build(Transport::Udp, sz).unwrap();
             let pg = bg.build(Transport::Udp, sz).unwrap();
             assert_eq!(ps.frame, pg.frame, "builders in lockstep");
-            expect.push(signature(&serial.process(&ps)));
+            expect.push(signature(&reference(&serial, &ps)));
             graph.admit((i % 5) as u64, &pg);
         }
         graph.drain();
@@ -743,15 +774,25 @@ mod tests {
 
     #[test]
     fn scalar_backend_retires_through_reorder_stage() {
-        let mut graph = StageGraph::with_config(
-            PipelineConfig {
-                backend: DecoderBackend::Scalar,
-                snr_db: 30.0,
-                ..Default::default()
-            },
-            StageGraphConfig::default(),
-        );
+        // A ladder-degraded pipeline completes serially on the scalar
+        // decoder tier inside `prepare`. Trip the ladder with LLR
+        // sign-flips, then feed the graph clean traffic.
+        let mut pipe = UplinkPipeline::new(cfg());
+        pipe.set_fault_injector(FaultInjector::with_mix(
+            11,
+            FaultMix::only(FaultKind::FlipLlrSigns),
+        ));
         let mut b = PacketBuilder::new(1000, 2000);
+        let p = b.build(Transport::Udp, 128).unwrap();
+        for _ in 0..100 {
+            if pipe.is_degraded() {
+                break;
+            }
+            let _ = pipe.process(&p);
+        }
+        assert!(pipe.is_degraded(), "sign-flip storm must trip the ladder");
+        pipe.set_fault_injector(FaultInjector::with_mix(1, FaultMix::only(FaultKind::Clean)));
+        let mut graph = StageGraph::new(pipe, StageGraphConfig::default());
         for _ in 0..4 {
             let p = b.build(Transport::Udp, 128).unwrap();
             graph.admit(7, &p);
@@ -764,6 +805,8 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 4, "serial fallback still delivers every packet");
+        assert_eq!(graph.in_flight(), 0, "nothing was staged");
+        assert!(graph.pipeline().is_degraded());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Fault-injection soak: thousands of deliberately damaged packets
-//! through every decoder backend, asserting the pipeline never panics,
+//! through the uplink pipeline at two injector seeds, asserting the pipeline never panics,
 //! never hangs, and classifies every outcome into the typed error
 //! taxonomy — with exact per-category counts pinned against the
 //! injector's own draw ledger.
@@ -7,7 +7,7 @@
 //! The always-on tests keep the packet count small enough for debug
 //! builds; CI's `fault-soak` job runs the `#[ignore]`d full soak in
 //! release mode (`cargo test --release -p vran-net --test fault_soak
-//! -- --ignored`), which defaults to 10 000 packets per backend and
+//! -- --ignored`), which defaults to 10 000 packets per seed and
 //! honors `FAULT_SOAK_PACKETS` for larger runs.
 
 use std::sync::Arc;
@@ -16,7 +16,7 @@ use vran_net::faultinject::{FaultInjector, FaultKind, FaultMix};
 use vran_net::harq::{HarqReceiver, HarqTransmitter};
 use vran_net::metrics::{PipelineMetrics, RunnerMetrics};
 use vran_net::packet::{PacketBuilder, Transport};
-use vran_net::pipeline::{DecoderBackend, PipelineConfig, UplinkPipeline};
+use vran_net::pipeline::{PipelineConfig, UplinkPipeline};
 use vran_net::runner::{run_multicore_metered, FaultPlan, RING_CAPACITY};
 
 fn full_soak_packets() -> usize {
@@ -26,12 +26,14 @@ fn full_soak_packets() -> usize {
         .unwrap_or(10_000)
 }
 
-/// Push `n` packets with the standard soak mix through one backend and
+/// Injector seeds the soaks run at.
+const SEEDS: [u64; 2] = [17, 18];
+
+/// Push `n` packets with the standard soak mix drawn from `seed` and
 /// pin every classification count against the injector's draw ledger.
-fn soak_backend(backend: DecoderBackend, n: usize, seed: u64) {
+fn soak(n: usize, seed: u64) {
     let metrics = Arc::new(PipelineMetrics::new(true));
     let cfg = PipelineConfig {
-        backend,
         snr_db: 30.0, // clean channel: only injected faults can fail
         decoder_iterations: 4,
         ..Default::default()
@@ -67,12 +69,12 @@ fn soak_backend(backend: DecoderBackend, n: usize, seed: u64) {
     assert_eq!(
         errs(ErrorCategory::MalformedFrame),
         drawn(FaultKind::CorruptFrame) + drawn(FaultKind::TruncateFrame),
-        "{backend:?}: every corrupted/truncated frame must reject at ingress"
+        "seed {seed}: every corrupted/truncated frame must reject at ingress"
     );
     assert_eq!(
         errs(ErrorCategory::SegmentationOverflow),
         drawn(FaultKind::CodeBlockCountLie),
-        "{backend:?}: every block-count lie must reject at desegmentation"
+        "seed {seed}: every block-count lie must reject at desegmentation"
     );
     assert_eq!(errs(ErrorCategory::DeadlineExceeded), 0);
 
@@ -83,7 +85,7 @@ fn soak_backend(backend: DecoderBackend, n: usize, seed: u64) {
     assert_eq!(
         ok as u64 + errs(ErrorCategory::CrcMismatch) + errs(ErrorCategory::DecoderDiverged),
         soft,
-        "{backend:?}: unaccounted outcome"
+        "seed {seed}: unaccounted outcome"
     );
     // A 30 dB channel decodes essentially every untouched packet. A
     // handful of payloads genuinely fail to converge within 4 turbo
@@ -91,7 +93,7 @@ fn soak_backend(backend: DecoderBackend, n: usize, seed: u64) {
     // 8), so the floor is 99%, not exactness.
     assert!(
         ok as u64 * 100 >= drawn(FaultKind::Clean) * 99,
-        "{backend:?}: clean packets failing ({ok} ok, {} clean drawn)",
+        "seed {seed}: clean packets failing ({ok} ok, {} clean drawn)",
         drawn(FaultKind::Clean)
     );
     assert_eq!(metrics.packets.get(), n as u64);
@@ -106,24 +108,24 @@ fn soak_backend(backend: DecoderBackend, n: usize, seed: u64) {
         FaultKind::SaturateLlrs,
         FaultKind::CodeBlockCountLie,
     ] {
-        assert!(drawn(k) > 0, "{backend:?}: {} never drawn in {n}", k.name());
+        assert!(drawn(k) > 0, "seed {seed}: {} never drawn in {n}", k.name());
     }
 }
 
 #[test]
 fn mixed_fault_soak_classifies_every_packet() {
     // Debug-build friendly slice of the full soak; identical logic.
-    for (backend, seed) in [(DecoderBackend::Scalar, 17), (DecoderBackend::Native, 18)] {
-        soak_backend(backend, 420, seed);
+    for seed in SEEDS {
+        soak(420, seed);
     }
 }
 
 #[test]
 #[ignore = "full-scale soak; run in release via CI's fault-soak job"]
-fn full_fault_soak_every_backend() {
+fn full_fault_soak_every_seed() {
     let n = full_soak_packets();
-    for (backend, seed) in [(DecoderBackend::Scalar, 17), (DecoderBackend::Native, 18)] {
-        soak_backend(backend, n, seed);
+    for seed in SEEDS {
+        soak(n, seed);
     }
 }
 

@@ -5,21 +5,20 @@
 //! round-robin workload.
 //!
 //! The always-on tests stay small enough for debug builds; the
-//! `#[ignore]`d throughput gate runs in release via CI (the stage graph
-//! must be *at least* as fast as the serial per-packet path on
-//! AVX-512BW hosts).
+//! `#[ignore]`d throughput gate runs in release via CI (cross-packet
+//! batch formation must be *at least* as fast as launching each
+//! packet's blocks alone on AVX-512BW hosts).
 
 use std::sync::Arc;
 use vran_net::error::{ErrorCategory, PipelineError};
 use vran_net::faultinject::{FaultInjector, FaultKind, FaultMix};
 use vran_net::metrics::{PipelineMetrics, RunnerMetrics, StageGraphMetrics};
 use vran_net::observe::{BreakerConfig, BreakerStage};
-use vran_net::packet::{PacketBuilder, Transport};
-use vran_net::pipeline::{PacketResult, PipelineConfig, UplinkPipeline};
-use vran_net::runner::{
-    run_uplink_serial_mixed, run_uplink_stagegraph_metered, FaultPlan, RING_CAPACITY,
-};
+use vran_net::packet::{Packet, PacketBuilder, Transport};
+use vran_net::pipeline::{Admission, PacketResult, PipelineConfig, UplinkPipeline};
+use vran_net::runner::{run_uplink_stagegraph_metered, FaultPlan, RING_CAPACITY};
 use vran_net::{StageGraph, StageGraphConfig};
+use vran_phy::turbo::{DecodeScratch, NativeTurboDecoder};
 use vran_util::rng::SmallRng;
 
 const SIZES: [usize; 7] = [64, 128, 300, 600, 900, 1200, 1400];
@@ -45,24 +44,53 @@ fn signature(r: &Result<PacketResult, PipelineError>) -> (bool, usize, usize, us
     }
 }
 
+/// Serial oracle for one packet, from public calls only: `prepare`,
+/// then each staged task through a single-block native decoder at the
+/// packet's iteration cap with no CRC early stop (the batch lanes'
+/// semantics), then `complete`.
+fn reference(pipe: &UplinkPipeline, p: &Packet) -> Result<PacketResult, PipelineError> {
+    let prep = match pipe.prepare(p) {
+        Admission::Ready(r) => return r,
+        Admission::Staged(prep) => prep,
+    };
+    let cap = prep.iter_cap();
+    let mut scratch = DecodeScratch::default();
+    let mut iterations = 0;
+    let bits: Vec<Vec<u8>> = prep
+        .tasks()
+        .iter()
+        .map(|t| {
+            let mut bits = Vec::new();
+            let (iters, _) = NativeTurboDecoder::new(t.k, cap).decode_streams_capped_into(
+                &t.streams.sys,
+                &t.streams.p1,
+                &t.streams.p2,
+                &t.tails,
+                cap,
+                None,
+                &mut scratch,
+                &mut bits,
+            );
+            iterations += iters;
+            bits
+        })
+        .collect();
+    pipe.complete(prep, &bits, iterations, 0)
+}
+
 /// Random packet-size / UE schedule for one seed, admitted to a stage
-/// graph and to the serial batch-semantics oracle in lockstep; per-UE
+/// graph and to the serial [`reference`] oracle in lockstep; per-UE
 /// delivery order must equal per-UE admission order with identical
 /// outcome signatures.
 fn check_random_mix(seed: u64, n: usize, ues: u64, inject: bool) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut bs = PacketBuilder::new(1000, 2000);
     let mut bg = PacketBuilder::new(1000, 2000);
-    // Batch lanes run a fixed iteration count (no CRC early stop), so
-    // the iteration-exact oracle is the serial *batch* path.
-    let mut serial = UplinkPipeline::new(PipelineConfig {
-        batch_decode: true,
-        ..cfg()
-    });
+    let mut serial = UplinkPipeline::new(cfg());
     let mut graph = StageGraph::with_config(cfg(), StageGraphConfig::default());
     if inject {
-        // Same seed on both sides: prepare draws one fault per packet
-        // in the same order process does, so the storms are identical.
+        // Same seed on both sides: both draw one fault per packet in
+        // admission order, so the storms are identical.
         serial.set_fault_injector(FaultInjector::new(seed));
         let mut pipe = UplinkPipeline::new(cfg());
         pipe.set_fault_injector(FaultInjector::new(seed));
@@ -82,7 +110,7 @@ fn check_random_mix(seed: u64, n: usize, ues: u64, inject: bool) {
         let ps = bs.build(transport, sz).unwrap();
         let pg = bg.build(transport, sz).unwrap();
         assert_eq!(ps.frame, pg.frame, "builders in lockstep");
-        expect.push(signature(&serial.process(&ps)));
+        expect.push(signature(&reference(&serial, &ps)));
         admitted.push(ue);
         graph.admit(ue, &pg);
     }
@@ -324,40 +352,43 @@ fn stagegraph_throughput_beats_serial_on_wide_hosts() {
         .collect();
     let n = 1400;
     let workers = 2;
-    // The serial baseline runs the same fixed-iteration batch decode
-    // semantics the stage graph uses (the pre-existing per-packet
-    // `batch_decode` path), isolating what cross-packet formation
-    // adds. Serial CRC early stop is an orthogonal trade-off the
-    // batch lanes give up by design — EXPERIMENTS.md quantifies it.
-    let serial_cfg = PipelineConfig {
-        batch_decode: true,
-        ..cfg()
+    // The baseline is the same graph with a single ROB slot: every
+    // admission flushes the previous packet, so each packet's blocks
+    // launch alone under the same fixed-iteration batch semantics —
+    // isolating what cross-packet formation adds. Serial CRC early
+    // stop is an orthogonal trade-off the batch lanes give up by
+    // design — EXPERIMENTS.md quantifies it.
+    let run = |sg: StageGraphConfig| {
+        run_uplink_stagegraph_metered(
+            cfg(),
+            &classes,
+            n,
+            workers,
+            sg,
+            &RunnerMetrics::new(false, RING_CAPACITY),
+            None,
+            None,
+            None,
+            None,
+        )
     };
     // Median of 5 paired runs rides out scheduler noise.
     let mut ratios: Vec<f64> = (0..5)
         .map(|_| {
-            let serial = run_uplink_serial_mixed(serial_cfg, &classes, n, workers);
-            let graph = run_uplink_stagegraph_metered(
-                cfg(),
-                &classes,
-                n,
-                workers,
-                StageGraphConfig::default(),
-                &RunnerMetrics::new(false, RING_CAPACITY),
-                None,
-                None,
-                None,
-                None,
-            );
-            assert_eq!(graph.packets, serial.packets);
-            graph.mbps / serial.mbps
+            let alone = run(StageGraphConfig {
+                rob_slots: 1,
+                ..Default::default()
+            });
+            let graph = run(StageGraphConfig::default());
+            assert_eq!(graph.packets, alone.packets);
+            graph.mbps / alone.mbps
         })
         .collect();
     ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let median = ratios[ratios.len() / 2];
     assert!(
         median >= 1.0,
-        "stage graph must not lose to the serial path on zmm hosts: \
+        "cross-packet formation must not lose to per-packet launches on zmm hosts: \
          median speedup {median:.3} (all: {ratios:?})"
     );
 }

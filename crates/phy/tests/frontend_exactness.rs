@@ -3,8 +3,8 @@
 //! CRC) vs its scalar oracle across **all 188** TS 36.212 block sizes
 //! and **every** host-ISA tier.
 //!
-//! The uplink pipeline makes the SIMD front end the default path on
-//! the strength of this sweep (see `PipelineConfig::frontend_simd`):
+//! The uplink and downlink pipelines run the SIMD front end as their
+//! only front end on the strength of this sweep:
 //! whatever K the segmenter picks, whatever modulation the grant
 //! carries and whatever tier the dispatcher lands on, each kernel must
 //! reproduce its scalar reference bit for bit — including ragged

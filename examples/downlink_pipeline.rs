@@ -1,8 +1,9 @@
 //! Drive control + data subframes through the complete downlink chain
-//! (grant → turbo encode → rate match → OFDM → AWGN → decode) under
-//! both encoder backends, then show what the packed-word fast path
-//! buys: per-ISA encode throughput at K=6144 and a multi-worker
-//! scale-out sweep.
+//! (grant → turbo encode → rate match → OFDM → AWGN → decode) at the
+//! host's best ISA tier and again under a scalar ISA ceiling — the
+//! ceiling is the only switch between implementations, and every tier
+//! is bit-exact — then show what the packed-word encoder buys: per-ISA
+//! encode throughput at K=6144 and a multi-worker scale-out sweep.
 //!
 //! ```text
 //! cargo run --release -p apcm --example downlink_pipeline
@@ -11,47 +12,57 @@
 use std::time::Instant;
 use vran_net::downlink::{DownlinkConfig, DownlinkPipeline};
 use vran_net::packet::{PacketBuilder, Transport};
-use vran_net::pipeline::EncoderBackend;
 use vran_net::runner::downlink_scaleout_sweep;
 use vran_phy::bits::random_bits;
 use vran_phy::turbo::{EncodeScratch, EncoderIsa, PackedTurboEncoder, TurboEncoder};
+use vran_simd::host::{set_isa_ceiling, HostIsa};
 
 fn main() {
     println!("== downlink pipeline: QPSK PDCCH + 16-QAM PDSCH over 25 dB AWGN ==\n");
-    for backend in [EncoderBackend::Scalar, EncoderBackend::Packed] {
+    let mut outcomes = Vec::new();
+    for (tier, ceiling) in [("best", None), ("scalar", Some(HostIsa::Scalar))] {
+        set_isa_ceiling(ceiling);
         let cfg = DownlinkConfig {
-            encoder_backend: backend,
             snr_db: 25.0,
             ..Default::default()
         };
         let pipe = DownlinkPipeline::new(cfg);
-        println!("--- encoder backend: {backend:?} ---");
+        println!("--- ISA tier: {tier} ---");
         println!(
-            "{:>6}  {:>5}  {:>4}  {:>5}  {:>9}  {:>7}",
-            "size", "proto", "dci", "data", "coded", "blocks"
+            "{:>6}  {:>5}  {:>4}  {:>5}  {:>9}  {:>7}  {:>8}",
+            "size", "proto", "dci", "data", "coded", "blocks", "µs"
         );
+        let mut rows = Vec::new();
         for transport in [Transport::Udp, Transport::Tcp] {
             let mut b = PacketBuilder::new(5060, 5060);
             for size in [64usize, 512, 1500] {
                 let p = b.build(transport, size).expect("valid size");
+                let t = Instant::now();
                 let r = pipe.process(&p);
+                let us = t.elapsed().as_secs_f64() * 1e6;
                 assert!(r.dci_ok && r.data_ok, "25 dB must decode: {r:?}");
                 println!(
-                    "{:>6}  {:>5}  {:>4}  {:>5}  {:>9}  {:>7}",
+                    "{:>6}  {:>5}  {:>4}  {:>5}  {:>9}  {:>7}  {:>8.0}",
                     size,
                     transport.name(),
                     "✓",
                     "✓",
                     r.coded_bits,
                     r.code_blocks,
+                    us,
                 );
+                rows.push((r.dci_ok, r.data_ok, r.coded_bits, r.code_blocks));
             }
         }
+        outcomes.push(rows);
         println!();
     }
-    println!("both backends produced identical subframes bit-for-bit ✓\n");
+    set_isa_ceiling(None);
+    assert_eq!(outcomes[0], outcomes[1], "ISA tiers must agree bit-for-bit");
+    println!("both ISA tiers produced identical subframes ✓\n");
 
-    // Packed-vs-scalar encode throughput at the largest block size.
+    // Packed encode throughput per ISA tier against the per-bit
+    // reference encoder, at the largest block size.
     const K: usize = 6144;
     const REPS: u32 = 200;
     let bits = random_bits(K, 7);

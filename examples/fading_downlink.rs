@@ -8,7 +8,6 @@
 //! cargo run --release -p apcm --example fading_downlink
 //! ```
 
-use vran_arrange::{ApcmVariant, Mechanism};
 use vran_net::downlink::{DownlinkConfig, DownlinkPipeline};
 use vran_net::packet::{PacketBuilder, Transport};
 use vran_phy::modulation::Modulation;
@@ -27,7 +26,6 @@ fn main() {
         (28.0, Modulation::Qam64),
     ] {
         let cfg = DownlinkConfig {
-            mechanism: Mechanism::Apcm(ApcmVariant::Shuffle),
             modulation,
             snr_db: snr,
             fading: true,
