@@ -8,7 +8,7 @@ use vran_phy::crc::CRC24A;
 use vran_phy::dci::{conv_encode, viterbi_decode_tb};
 use vran_phy::interleaver::QppInterleaver;
 use vran_phy::modulation::{Cplx, Modulation};
-use vran_phy::ofdm::{fft, OfdmConfig};
+use vran_phy::ofdm::{available_fft, fft_reference, fft_with, OfdmConfig};
 use vran_phy::rate_match::RateMatcher;
 use vran_phy::scrambler::scramble_bits;
 
@@ -18,14 +18,22 @@ fn bench_fft(c: &mut Criterion) {
         let buf: Vec<Cplx> = (0..n)
             .map(|i| Cplx::new((i as f32 * 0.1).sin(), (i as f32 * 0.3).cos()))
             .collect();
+        let mut t = buf.clone();
         g.throughput(Throughput::Elements(n as u64));
-        g.bench_with_input(BenchmarkId::from_parameter(n), &buf, |b, buf| {
+        g.bench_function(BenchmarkId::new("reference", n), |b| {
             b.iter(|| {
-                let mut t = buf.clone();
-                fft(&mut t, false);
-                t
+                t.copy_from_slice(&buf);
+                fft_reference(std::hint::black_box(&mut t), false);
             })
         });
+        for imp in available_fft() {
+            g.bench_function(BenchmarkId::new(imp.name(), n), |b| {
+                b.iter(|| {
+                    t.copy_from_slice(&buf);
+                    fft_with(imp, std::hint::black_box(&mut t), false);
+                })
+            });
+        }
     }
     g.finish();
 }
@@ -34,12 +42,20 @@ fn bench_ofdm_symbol(c: &mut Criterion) {
     let cfg = OfdmConfig::lte5mhz();
     let syms = Modulation::Qpsk.modulate(&random_bits(600, 1));
     let air = cfg.modulate(&syms);
+    let stream = Modulation::Qam16.modulate(&random_bits(4 * 1450, 2));
+    let stream_air = cfg.modulate_stream(&stream);
     let mut g = c.benchmark_group("ofdm");
     g.bench_function("modulate", |b| {
         b.iter(|| cfg.modulate(std::hint::black_box(&syms)))
     });
     g.bench_function("demodulate", |b| {
         b.iter(|| cfg.demodulate(std::hint::black_box(&air)))
+    });
+    g.bench_function("modulate_stream_1450", |b| {
+        b.iter(|| cfg.modulate_stream(std::hint::black_box(&stream)))
+    });
+    g.bench_function("demodulate_stream_1450", |b| {
+        b.iter(|| cfg.demodulate_stream(std::hint::black_box(&stream_air), 1450))
     });
     g.finish();
 }

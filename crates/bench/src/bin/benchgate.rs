@@ -63,7 +63,8 @@ use vran_phy::bits::{extend_bits_from_words, random_bits};
 use vran_phy::channel::AwgnChannel;
 use vran_phy::crc::{best_crc, CrcImpl, CRC24A};
 use vran_phy::demap::{best_demap, demap_into, DemapImpl};
-use vran_phy::modulation::Modulation;
+use vran_phy::modulation::{Cplx, Modulation};
+use vran_phy::ofdm::{fft, fft_reference};
 use vran_phy::rate_match::{PackedRateMatcher, RateMatcher};
 use vran_phy::scrambler::{
     best_descramble, descramble_llrs, descramble_llrs_with, DescrambleImpl, GoldSequence,
@@ -710,6 +711,25 @@ fn frontend_kernel_ns() -> ((f64, f64), (f64, f64)) {
     ((simd, reference), (crc_simd, crc_ref))
 }
 
+/// Median ns of one 512-point forward FFT: `(best tier, serial-twiddle
+/// reference)`, each timed by direct call on the same input.
+fn fft_kernel_ns() -> (f64, f64) {
+    let input: Vec<Cplx> = random_bits(2 * 512, SIM_SEED)
+        .chunks_exact(2)
+        .map(|b| Cplx::new(f32::from(b[0]) - 0.5, f32::from(b[1]) - 0.5))
+        .collect();
+    let mut buf = input.clone();
+    let best = median_ns(FUSED_REPS, || {
+        buf.copy_from_slice(&input);
+        fft(std::hint::black_box(&mut buf), false);
+    });
+    let reference = median_ns(FUSED_REPS, || {
+        buf.copy_from_slice(&input);
+        fft_reference(std::hint::black_box(&mut buf), false);
+    });
+    (best, reference)
+}
+
 /// Gated `uplink_frontend` plus its ungated wall-clock companion, from
 /// the best-tier vs scalar-ceiling A/B. The gated side carries only exact metrics: outcome counts, the
 /// best-tier vs scalar-ISA-ceiling outcome-signature equality
@@ -753,6 +773,9 @@ fn uplink_frontend_suites(simd: &IsaRun, scalar: &IsaRun) -> [Suite; 2] {
     wall.push("crc.reference.median_ns", crc_ref_ns);
     wall.push("crc.simd.median_ns", crc_simd_ns);
     wall.push("crc.speedup", crc_ref_ns / crc_simd_ns);
+    let (fft_best_ns, fft_ref_ns) = fft_kernel_ns();
+    wall.push("fft.reference.median_ns", fft_ref_ns);
+    wall.push("fft.best.median_ns", fft_best_ns);
     wall.push("stage.demap.scalar_ceiling.mean_ns", scalar.demap_mean_ns);
     wall.push("stage.demap.simd.mean_ns", simd.demap_mean_ns);
     wall.push("stage.crc.scalar_ceiling.mean_ns", scalar.crc_mean_ns);

@@ -204,7 +204,7 @@ impl Histogram {
     }
 }
 
-/// The eight instrumented PHY stages, in pipeline order.
+/// The instrumented PHY stages, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Stage {
@@ -218,8 +218,12 @@ pub enum Stage {
     RateMatch,
     /// Scrambling + symbol mapping (tx only).
     Modulate,
-    /// OFDM modulation/demodulation and the channel model.
-    Ofdm,
+    /// The harness between transmitter and receiver, never receiver
+    /// time: tx IFFT + AWGN, or the fading channel apply.
+    Channel,
+    /// The receive FFT, plus channel estimation and equalization on
+    /// the fading path.
+    Fft,
     /// Soft demapping + LLR descrambling (rx front end) — kept
     /// distinct from [`Stage::Modulate`] so the flight recorder never
     /// conflates tx modulation with rx demap.
@@ -232,7 +236,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages.
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 10;
     /// All stages in pipeline order.
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::Crc,
@@ -240,7 +244,8 @@ impl Stage {
         Stage::Encode,
         Stage::RateMatch,
         Stage::Modulate,
-        Stage::Ofdm,
+        Stage::Channel,
+        Stage::Fft,
         Stage::Demap,
         Stage::Arrange,
         Stage::Decode,
@@ -254,7 +259,8 @@ impl Stage {
             Stage::Encode => "encode",
             Stage::RateMatch => "rate_match",
             Stage::Modulate => "modulate",
-            Stage::Ofdm => "ofdm",
+            Stage::Channel => "channel",
+            Stage::Fft => "fft",
             Stage::Demap => "demap",
             Stage::Arrange => "arrange",
             Stage::Decode => "decode",
@@ -1055,8 +1061,23 @@ mod tests {
         dedup.dedup();
         assert_eq!(names.len(), Stage::COUNT);
         assert_eq!(names, dedup);
-        assert_eq!(names[0], "crc");
-        assert_eq!(names[Stage::COUNT - 1], "decode");
+        // snapshot keys `pipeline.stage.<name>`: the harness channel and
+        // the receive FFT are separate series
+        assert_eq!(
+            names,
+            [
+                "crc",
+                "segment",
+                "encode",
+                "rate_match",
+                "modulate",
+                "channel",
+                "fft",
+                "demap",
+                "arrange",
+                "decode"
+            ]
+        );
     }
 
     #[test]

@@ -412,7 +412,7 @@ impl BreakerStage {
     /// The pipeline [`Stage`] this breaker fronts.
     pub fn pipeline_stage(self) -> Stage {
         match self {
-            BreakerStage::Equalizer => Stage::Ofdm,
+            BreakerStage::Equalizer => Stage::Fft,
             BreakerStage::Demapper => Stage::Modulate,
             BreakerStage::Decoder => Stage::Decode,
         }

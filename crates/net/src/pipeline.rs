@@ -950,17 +950,20 @@ impl UplinkPipeline {
             scramble_bits(&mut tx_bits, self.c_init);
             cfg.modulation.modulate(&tx_bits)
         });
-        let (rx_symbols, scale) = timed(m, Stage::Ofdm, || {
-            if cfg.fading {
-                self.fading_pass(&symbols)
-            } else {
+        let (rx_symbols, scale) = if cfg.fading {
+            self.fading_pass(&symbols, m)
+        } else {
+            let (rx_air, scale) = timed(m, Stage::Channel, || {
                 let air = self.ofdm.modulate_stream(&symbols);
                 let mut channel = AwgnChannel::new(cfg.snr_db, cfg.seed);
                 let rx_air = channel.apply(&air);
-                let rx = self.ofdm.demodulate_stream(&rx_air, symbols.len());
-                (rx, (channel.llr_scale() / 8.0).clamp(0.25, 16.0))
-            }
-        });
+                (rx_air, (channel.llr_scale() / 8.0).clamp(0.25, 16.0))
+            });
+            let rx = timed(m, Stage::Fft, || {
+                self.ofdm.demodulate_stream(&rx_air, symbols.len())
+            });
+            (rx, scale)
+        };
         nanos.transport = t0.elapsed().as_nanos() as u64;
 
         // ---- demap, descramble ----
@@ -1247,27 +1250,47 @@ impl UplinkPipeline {
 
     /// Fading path: resource grids with scattered pilots, per-grid
     /// channel estimation and ZF equalization (frequency-domain model,
-    /// matching the downlink pipeline).
+    /// matching the downlink pipeline). Pilot insertion and the channel
+    /// apply are recorded as [`Stage::Channel`], estimation and
+    /// equalization as [`Stage::Fft`], one sample each per packet.
     fn fading_pass(
         &self,
         symbols: &[vran_phy::modulation::Cplx],
+        m: Option<&PipelineMetrics>,
     ) -> (Vec<vran_phy::modulation::Cplx>, f32) {
         use vran_phy::equalizer::{Equalizer, FadingChannel};
         const GRID: usize = 300;
+        // Like `timed`, the clock is read only when metrics are on.
+        let mut clock = m.map(|_| Instant::now());
+        let mut lap = move || {
+            clock.as_mut().map_or(0, |t| {
+                let now = Instant::now();
+                let ns = (now - *t).as_nanos() as u64;
+                *t = now;
+                ns
+            })
+        };
         let eq = Equalizer::lte();
         let per_grid = GRID - eq.pilot_positions(GRID).len();
         let mut chan = FadingChannel::new(GRID, self.cfg.snr_db, 3, self.cfg.seed);
         let mut out = Vec::with_capacity(symbols.len());
+        let (mut channel_ns, mut receiver_ns) = (lap(), 0);
         for chunk in symbols.chunks(per_grid) {
             let mut d = chunk.to_vec();
             d.resize(per_grid, vran_phy::modulation::Cplx::default());
             let (grid, _) = eq.insert_pilots(&d, GRID);
             let rx = chan.apply(&grid);
+            channel_ns += lap();
             let h = eq.estimate(&rx);
             let (eq_syms, _w) = eq.equalize(&rx, &h);
             out.extend_from_slice(&eq_syms[..chunk.len().min(eq_syms.len())]);
+            receiver_ns += lap();
         }
         out.truncate(symbols.len());
+        if let Some(m) = m {
+            m.record_stage(Stage::Channel, channel_ns);
+            m.record_stage(Stage::Fft, receiver_ns);
+        }
         (out, 1.0)
     }
 
